@@ -518,6 +518,32 @@ mod tests {
         ));
     }
 
+    /// The filtered pass lands in the profile's `propagate` row, not in
+    /// `other`: one span per run, and only at the filtering level.
+    #[test]
+    fn filtered_profile_has_a_propagate_row() {
+        use rtlb_obs::{MetricsRegistry, PhaseProfile};
+        let (g, _) = three_tight_tasks();
+        for (level, spans) in [
+            (PropagationLevel::Filtered, 1),
+            (PropagationLevel::Timeline, 0),
+        ] {
+            let registry = MetricsRegistry::new();
+            let options = AnalysisOptions {
+                propagation: level,
+                ..AnalysisOptions::default()
+            };
+            analyze_with_probe(&g, &SystemModel::shared(), options, &registry).unwrap();
+            let profile = PhaseProfile::from_snapshot(&registry.snapshot());
+            let row = profile
+                .phases
+                .iter()
+                .find(|p| p.phase == "propagate")
+                .expect("the profile has a propagate row");
+            assert_eq!(row.spans, spans, "{level:?}");
+        }
+    }
+
     #[test]
     fn cost_helpers_delegate() {
         let (g, p) = three_tight_tasks();

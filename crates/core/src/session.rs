@@ -48,7 +48,7 @@ use crate::estlct::{compute_timing_ctl_packed, est_of, lct_of, Packer, TimingAna
 use crate::exec::{effective_threads, run_jobs};
 use crate::model::SystemModel;
 use crate::partition::{partition_tasks, ResourcePartition};
-use crate::propagate::{refine_block, refine_resource_flat};
+use crate::propagate::{refine_block, refine_resource_flat, RefineScratch};
 use crate::sweep::{plan_block, BlockPlan};
 
 /// The zero bound of an unswept resource — the placeholder a cache holds
@@ -439,10 +439,20 @@ impl AnalysisSession {
         if !self.options.propagation.filters() {
             return Ok(vec![0; partition.blocks.len()]);
         }
+        let mut scratch = RefineScratch::default();
         partition
             .blocks
             .iter()
-            .map(|b| refine_block(&self.graph, &self.timing, &b.tasks, probe, ctl))
+            .map(|b| {
+                refine_block(
+                    &self.graph,
+                    &self.timing,
+                    &b.tasks,
+                    &mut scratch,
+                    probe,
+                    ctl,
+                )
+            })
             .collect()
     }
 
@@ -955,11 +965,13 @@ impl AnalysisSession {
             // refinement is pure in the members' windows, computations,
             // and modes.
             if self.options.propagation.filters() {
+                let mut scratch = RefineScratch::default();
                 for &(ci, bi) in &targets {
                     caches[ci].block_refined[bi] = refine_block(
                         &self.graph,
                         &self.timing,
                         &caches[ci].partition.blocks[bi].tasks,
+                        &mut scratch,
                         probe,
                         ctl,
                     )?;

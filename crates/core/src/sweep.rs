@@ -132,11 +132,38 @@ struct BandEvent {
     hi: i64,
 }
 
+/// One demander as the ramp decomposition sees it: a feasible window
+/// `[e, l]`, its computation `c`, and its execution mode.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct RampItem {
+    pub(crate) e: i64,
+    pub(crate) l: i64,
+    pub(crate) c: i64,
+    pub(crate) preemptive: bool,
+}
+
+impl RampItem {
+    /// Task `t` with its window under `timing`.
+    pub(crate) fn of(graph: &TaskGraph, timing: &TimingAnalysis, t: TaskId) -> RampItem {
+        let task = graph.task(t);
+        let w = timing.window(t);
+        RampItem {
+            e: w.est.ticks(),
+            l: w.lct.ticks(),
+            c: task.computation().ticks(),
+            preemptive: task.is_preemptive(),
+        }
+    }
+}
+
 /// Flat struct-of-arrays slope-event streams for one partition block,
 /// built and sorted once, then merged allocation-free per `t1` column.
 /// See the module docs for the regime decomposition; the differential
 /// unit test `arena_streams_match_ramp_decomposition` pins each stream
-/// against [`psi_ramp`] exhaustively.
+/// against [`psi_ramp`] exhaustively. The sweep builds one per block from
+/// the graph; the filtered propagation pass rebuilds one in place from its
+/// local window copies, so both take `Θ` from this one decomposition.
+#[derive(Default)]
 pub(crate) struct BlockArena {
     /// `+1` at a fixed position (NP early/mid regime, P early regime).
     start_fixed: Vec<ClampEvent>,
@@ -153,51 +180,73 @@ pub(crate) struct BlockArena {
 }
 
 impl BlockArena {
-    /// Decomposes every task's ramp into its per-regime stream entries
-    /// and sorts each stream once. Requires feasible windows — an
-    /// infeasible task surfaces as [`AnalysisError::Infeasible`] here
-    /// instead of a wrong answer or a debug assertion.
+    /// Builds the arena of `tasks` under `timing`. Requires feasible
+    /// windows — an infeasible task surfaces as
+    /// [`AnalysisError::Infeasible`] here instead of a wrong answer or a
+    /// debug assertion.
     fn build(
         graph: &TaskGraph,
         timing: &TimingAnalysis,
         tasks: &[TaskId],
     ) -> Result<BlockArena, AnalysisError> {
-        let mut arena = BlockArena {
-            start_fixed: Vec::with_capacity(tasks.len()),
-            start_shift: Vec::new(),
-            start_at_t1: Vec::new(),
-            end_fixed: Vec::with_capacity(tasks.len()),
-            end_shift: Vec::new(),
-            end_band: Vec::new(),
-        };
         for &t in tasks {
-            let task = graph.task(t);
-            let w = timing.window(t);
-            let (e, l, c) = (w.est.ticks(), w.lct.ticks(), task.computation().ticks());
+            let RampItem { e, l, c, .. } = RampItem::of(graph, timing, t);
             if i128::from(e) + i128::from(c) > i128::from(l) {
+                let w = timing.window(t);
                 return Err(AnalysisError::Infeasible {
-                    task: task.name().to_owned(),
+                    task: graph.task(t).name().to_owned(),
                     est: w.est,
                     lct: w.lct,
                 });
             }
+        }
+        let mut arena = BlockArena::default();
+        arena.rebuild(tasks.iter().map(|&t| RampItem::of(graph, timing, t)));
+        Ok(arena)
+    }
+
+    /// Replaces the arena's contents with the ramps of `items`, reusing
+    /// the streams' buffers: each ramp is decomposed into its per-regime
+    /// stream entries and each stream is sorted once. Every item must be
+    /// feasible (`e + c <= l`).
+    pub(crate) fn rebuild(&mut self, items: impl IntoIterator<Item = RampItem>) {
+        self.start_fixed.clear();
+        self.start_shift.clear();
+        self.start_at_t1.clear();
+        self.end_fixed.clear();
+        self.end_shift.clear();
+        self.end_band.clear();
+        let items = items.into_iter();
+        self.start_fixed.reserve(items.size_hint().0);
+        self.end_fixed.reserve(items.size_hint().0);
+        for RampItem {
+            e,
+            l,
+            c,
+            preemptive,
+        } in items
+        {
+            debug_assert!(
+                i128::from(e) + i128::from(c) <= i128::from(l),
+                "ramp decomposition requires feasible windows"
+            );
             if c <= 0 {
                 continue; // zero-height ramp: no events at any t1
             }
             // All arithmetic below stays in range because e + c <= l:
             // l − c >= e, l − c − e >= 0, and shifted positions are
             // computed only inside their alive band (see emit_column).
-            if task.is_preemptive() {
-                arena.start_fixed.push(ClampEvent {
+            if preemptive {
+                self.start_fixed.push(ClampEvent {
                     pos: l - c,
                     until: e,
                 });
-                arena.end_fixed.push(ClampEvent {
+                self.end_fixed.push(ClampEvent {
                     pos: l,
                     until: e + c - 1,
                 });
                 if c >= 2 {
-                    arena.start_shift.push(StartShiftEvent {
+                    self.start_shift.push(StartShiftEvent {
                         key: (l - c) - e,
                         lo: e + 1,
                         hi: e + c - 1,
@@ -205,20 +254,20 @@ impl BlockArena {
                 }
             } else {
                 let mid_hi = (l - c).min(e + c - 1);
-                arena.start_fixed.push(ClampEvent {
+                self.start_fixed.push(ClampEvent {
                     pos: l - c,
                     until: mid_hi,
                 });
-                arena.end_fixed.push(ClampEvent { pos: l, until: e });
+                self.end_fixed.push(ClampEvent { pos: l, until: e });
                 if e < mid_hi {
-                    arena.end_shift.push(EndShiftEvent { l, e, hi: mid_hi });
+                    self.end_shift.push(EndShiftEvent { l, e, hi: mid_hi });
                 }
                 if l - c < e + c - 1 {
-                    arena.start_at_t1.push(Band {
+                    self.start_at_t1.push(Band {
                         lo: l - c + 1,
                         hi: e + c - 1,
                     });
-                    arena.end_band.push(BandEvent {
+                    self.end_band.push(BandEvent {
                         pos: e + c,
                         lo: l - c + 1,
                         hi: e + c - 1,
@@ -226,14 +275,12 @@ impl BlockArena {
                 }
             }
         }
-        arena.start_fixed.sort_unstable_by_key(|x| x.pos);
-        arena.start_shift.sort_unstable_by_key(|x| x.key);
-        arena.end_fixed.sort_unstable_by_key(|x| x.pos);
-        arena
-            .end_shift
+        self.start_fixed.sort_unstable_by_key(|x| x.pos);
+        self.start_shift.sort_unstable_by_key(|x| x.key);
+        self.end_fixed.sort_unstable_by_key(|x| x.pos);
+        self.end_shift
             .sort_unstable_by_key(|x| i128::from(x.l) + i128::from(x.e));
-        arena.end_band.sort_unstable_by_key(|x| x.pos);
-        Ok(arena)
+        self.end_band.sort_unstable_by_key(|x| x.pos);
     }
 
     /// Merges the alive entries of every stream into `events`, sorted by
@@ -241,7 +288,7 @@ impl BlockArena {
     /// of *raw* ramp slope events represented (what the pre-arena sweep
     /// counted as `sweep.events_processed`), which can exceed
     /// `events.len()` because of coalescing.
-    fn emit_column(&self, t1: i64, events: &mut Vec<(i64, i64)>) -> u64 {
+    pub(crate) fn emit_column(&self, t1: i64, events: &mut Vec<(i64, i64)>) -> u64 {
         events.clear();
         let mut raw = 0u64;
 
@@ -404,20 +451,51 @@ fn naive_t1_sweep(
 /// produced, because `Θ` depends only on the event multiset.
 fn accumulate_column(points: &[Time], li: usize, events: &[(i64, i64)], max: &mut RatioMax) {
     let t1 = points[li];
-    let (mut value, mut slope, mut pos) = (0i64, 0i64, t1.ticks());
-    let mut next_event = 0;
+    let mut row = ThetaRow::new(t1.ticks());
     for &t2 in &points[li + 1..] {
-        let at_t2 = t2.ticks();
-        while next_event < events.len() && events[next_event].0 <= at_t2 {
-            let (at, delta) = events[next_event];
-            value += slope * (at - pos);
-            pos = at;
-            slope += delta;
-            next_event += 1;
+        max.offer(Dur::new(row.advance(events, t2.ticks())), t1, t2);
+    }
+}
+
+/// The running `Θ(t1, ·)` of one column: a cursor over the column's
+/// merged slope events (from [`BlockArena::emit_column`]) that advances
+/// monotonically in `t2`, accumulating value and slope exactly in integer
+/// arithmetic.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct ThetaRow {
+    value: i64,
+    slope: i64,
+    pos: i64,
+    next_event: usize,
+}
+
+impl ThetaRow {
+    /// A row at `t2 = t1`, where `Θ` is zero.
+    pub(crate) fn new(t1: i64) -> ThetaRow {
+        ThetaRow {
+            value: 0,
+            slope: 0,
+            pos: t1,
+            next_event: 0,
         }
-        value += slope * (at_t2 - pos);
-        pos = at_t2;
-        max.offer(Dur::new(value), t1, t2);
+    }
+
+    /// Advances to `t2` (never before the previous target) and returns
+    /// `Θ(t1, t2)` over `events`, the same column's events every call.
+    #[inline]
+    pub(crate) fn advance(&mut self, events: &[(i64, i64)], t2: i64) -> i64 {
+        while let Some(&(at, delta)) = events.get(self.next_event) {
+            if at > t2 {
+                break;
+            }
+            self.value += self.slope * (at - self.pos);
+            self.pos = at;
+            self.slope += delta;
+            self.next_event += 1;
+        }
+        self.value += self.slope * (t2 - self.pos);
+        self.pos = t2;
+        self.value
     }
 }
 

@@ -363,13 +363,23 @@ impl Parser<'_> {
                     }
                 }
                 Some(c) if c < 0x20 => return Err(self.err("raw control character in string")),
-                Some(_) => {
-                    // Consume one whole UTF-8 scalar.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().expect("peek saw a byte");
+                Some(lead) => {
+                    // Consume one whole UTF-8 scalar, decoding only the
+                    // bytes its lead byte announces.
+                    let width = match lead {
+                        0x00..=0x7F => 1,
+                        0xC0..=0xDF => 2,
+                        0xE0..=0xEF => 3,
+                        _ => 4,
+                    };
+                    let c = self
+                        .bytes
+                        .get(self.pos..self.pos + width)
+                        .and_then(|b| std::str::from_utf8(b).ok())
+                        .and_then(|s| s.chars().next())
+                        .ok_or_else(|| self.err("invalid UTF-8"))?;
                     out.push(c);
-                    self.pos += c.len_utf8();
+                    self.pos += width;
                 }
             }
         }
@@ -475,6 +485,21 @@ mod tests {
         assert_eq!(parse("2.5e2").unwrap(), Json::Float(250.0));
         assert_eq!(parse(" [ ] ").unwrap(), Json::Arr(vec![]));
         assert_eq!(parse("{ }").unwrap(), Json::Obj(vec![]));
+    }
+
+    #[test]
+    fn decodes_scalars_of_every_width_between_escapes() {
+        // 1-, 2-, 3- and 4-byte scalars, each next to an escape.
+        let doc = "\"a\\n\u{e9}\\t\u{20ac}\\u0041\u{1f980}\\\\z\u{10ffff}\"";
+        assert_eq!(
+            parse(doc).unwrap(),
+            Json::Str("a\n\u{e9}\t\u{20ac}A\u{1f980}\\z\u{10ffff}".to_owned())
+        );
+        // Inside a document, positions after a wide scalar stay exact.
+        let doc = parse("{\"\u{1f980}\u{e9}\": [\"\u{20ac}\", 1]}").unwrap();
+        let arr = doc.get("\u{1f980}\u{e9}").unwrap().as_arr().unwrap();
+        assert_eq!(arr[0].as_str(), Some("\u{20ac}"));
+        assert_eq!(arr[1].as_int(), Some(1));
     }
 
     #[test]

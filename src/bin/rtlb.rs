@@ -122,10 +122,10 @@ analyze flags:
 
 telemetry flags (accepted by analyze, sweep-scenarios, and batch):
   --profile                  print a per-phase wall-time breakdown (EST/LCT
-                             fixpoint, partitioning, sweep, cost bounds) to
-                             stderr, aggregated from the metrics registry;
-                             with --metrics=json the rtlb-report-v1 document
-                             gains a `profile` section
+                             fixpoint, partitioning, sweep, propagate, cost
+                             bounds) to stderr, aggregated from the metrics
+                             registry; with --metrics=json the rtlb-report-v1
+                             document gains a `profile` section
   --metrics-out=FILE         write the aggregated rtlb-metrics-v1 JSON export
                              (counters, gauges, log2-bucket histograms)
                              atomically to FILE

@@ -15,10 +15,10 @@ use std::time::Instant;
 
 use rtlb_bench::{counters_json, write_bench_json};
 use rtlb_core::{
-    analyze, analyze_with, analyze_with_probe, effective_threads, AnalysisOptions, SweepStrategy,
+    analyze, analyze_ctl, effective_threads, AnalysisOptions, CancelToken, SweepStrategy,
     SystemModel,
 };
-use rtlb_obs::{Json, Recorder};
+use rtlb_obs::{Json, Recorder, NULL_PROBE};
 use rtlb_workloads::{independent_tasks, paper_example};
 
 /// Sizes for the strategy comparison; the last is the headline workload.
@@ -58,8 +58,14 @@ fn bench_sweep_strategies(c: &mut Criterion) {
         ] {
             group.bench_with_input(BenchmarkId::new(label, n), &graph, |b, graph| {
                 b.iter(|| {
-                    analyze_with(black_box(graph), &SystemModel::shared(), options(sweep, 1))
-                        .unwrap()
+                    analyze_ctl(
+                        black_box(graph),
+                        &SystemModel::shared(),
+                        options(sweep, 1),
+                        &NULL_PROBE,
+                        &CancelToken::none(),
+                    )
+                    .unwrap()
                 })
             });
         }
@@ -68,10 +74,12 @@ fn bench_sweep_strategies(c: &mut Criterion) {
             &graph,
             |b, graph| {
                 b.iter(|| {
-                    analyze_with(
+                    analyze_ctl(
                         black_box(graph),
                         &SystemModel::shared(),
                         options(SweepStrategy::Incremental, 0),
+                        &NULL_PROBE,
+                        &CancelToken::none(),
                     )
                     .unwrap()
                 })
@@ -91,7 +99,14 @@ fn report_headline_speedup(_c: &mut Criterion) {
     let time = |sweep: SweepStrategy, parallelism: usize| {
         let start = Instant::now();
         black_box(
-            analyze_with(&graph, &SystemModel::shared(), options(sweep, parallelism)).unwrap(),
+            analyze_ctl(
+                &graph,
+                &SystemModel::shared(),
+                options(sweep, parallelism),
+                &NULL_PROBE,
+                &CancelToken::none(),
+            )
+            .unwrap(),
         );
         start.elapsed()
     };
@@ -112,11 +127,12 @@ fn report_headline_speedup(_c: &mut Criterion) {
     // Re-run the headline configuration under the recorder so the
     // artifact carries the pipeline counters alongside the timings.
     let recorder = Recorder::new();
-    analyze_with_probe(
+    analyze_ctl(
         &graph,
         &SystemModel::shared(),
         options(SweepStrategy::Incremental, 0),
         &recorder,
+        &CancelToken::none(),
     )
     .unwrap();
     let metrics = recorder.take_metrics();

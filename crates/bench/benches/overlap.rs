@@ -5,10 +5,11 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use rtlb_core::{
-    compute_timing, overlap, partition_tasks, resource_bound_sweep, theta, CandidatePolicy,
-    SweepStrategy, SystemModel, TaskWindow,
+    compute_timing, overlap, partition_tasks, sweep_partitions_ctl, theta, CancelToken,
+    CandidatePolicy, SweepStrategy, SystemModel, TaskWindow,
 };
 use rtlb_graph::{Dur, ExecutionMode, Time};
+use rtlb_obs::NULL_PROBE;
 use rtlb_workloads::independent_tasks;
 
 fn bench_psi(c: &mut Criterion) {
@@ -81,12 +82,16 @@ fn bench_sweep_kernel(c: &mut Criterion) {
                 &(&graph, &timing, &partition),
                 |b, (graph, timing, partition)| {
                     b.iter(|| {
-                        resource_bound_sweep(
+                        sweep_partitions_ctl(
                             black_box(graph),
                             timing,
-                            partition,
+                            std::slice::from_ref(*partition),
                             CandidatePolicy::EstLct,
                             strategy,
+                            1,
+                            0,
+                            &NULL_PROBE,
+                            &CancelToken::none(),
                         )
                     })
                 },

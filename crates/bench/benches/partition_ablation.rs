@@ -8,7 +8,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use rtlb_core::{analyze_with, AnalysisOptions, SweepStrategy, SystemModel};
+use rtlb_core::{analyze_ctl, AnalysisOptions, CancelToken, SweepStrategy, SystemModel};
+use rtlb_obs::NULL_PROBE;
 use rtlb_workloads::independent_tasks;
 
 fn bench_ablation(c: &mut Criterion) {
@@ -41,7 +42,16 @@ fn bench_ablation(c: &mut Criterion) {
         ];
         for (label, options) in configs {
             group.bench_with_input(BenchmarkId::new(label, n), &graph, |b, graph| {
-                b.iter(|| analyze_with(black_box(graph), &SystemModel::shared(), options).unwrap())
+                b.iter(|| {
+                    analyze_ctl(
+                        black_box(graph),
+                        &SystemModel::shared(),
+                        options,
+                        &NULL_PROBE,
+                        &CancelToken::none(),
+                    )
+                    .unwrap()
+                })
             });
         }
     }

@@ -14,8 +14,9 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 use rtlb_bench::TextTable;
-use rtlb_core::{analyze_with, AnalysisOptions, CandidatePolicy, SystemModel};
+use rtlb_core::{analyze_ctl, AnalysisOptions, CancelToken, CandidatePolicy, SystemModel};
 use rtlb_graph::{Catalog, Dur, TaskGraph, TaskGraphBuilder, TaskSpec, Time};
+use rtlb_obs::NULL_PROBE;
 use rtlb_sched::{min_units_exact, Capacities, SearchBudget};
 use rtlb_workloads::independent_tasks;
 
@@ -53,16 +54,20 @@ fn main() {
     let mut ext_intervals = 0u64;
     for seed in 0..40u64 {
         let graph = independent_tasks(25, 4, seed);
-        let std = analyze_with(
+        let std = analyze_ctl(
             &graph,
             &SystemModel::shared(),
             options(CandidatePolicy::EstLct),
+            &NULL_PROBE,
+            &CancelToken::none(),
         )
         .expect("feasible");
-        let ext = analyze_with(
+        let ext = analyze_ctl(
             &graph,
             &SystemModel::shared(),
             options(CandidatePolicy::Extended),
+            &NULL_PROBE,
+            &CancelToken::none(),
         )
         .expect("feasible");
         for (a, b) in std.bounds().iter().zip(ext.bounds()) {
@@ -103,17 +108,21 @@ fn main() {
     for seed in 0..40u64 {
         let graph = small_instance(seed);
         let p = graph.catalog().lookup("P").unwrap();
-        let Ok(std) = analyze_with(
+        let Ok(std) = analyze_ctl(
             &graph,
             &SystemModel::shared(),
             options(CandidatePolicy::EstLct),
+            &NULL_PROBE,
+            &CancelToken::none(),
         ) else {
             continue;
         };
-        let ext = analyze_with(
+        let ext = analyze_ctl(
             &graph,
             &SystemModel::shared(),
             options(CandidatePolicy::Extended),
+            &NULL_PROBE,
+            &CancelToken::none(),
         )
         .expect("std feasible implies ext feasible");
         let generous = Capacities::uniform(&graph, graph.task_count() as u32);
@@ -143,10 +152,12 @@ fn main() {
     for seed in 0..40u64 {
         let graph = small_instance(seed);
         let p = graph.catalog().lookup("P").unwrap();
-        let Ok(std) = analyze_with(
+        let Ok(std) = analyze_ctl(
             &graph,
             &SystemModel::shared(),
             options(CandidatePolicy::EstLct),
+            &NULL_PROBE,
+            &CancelToken::none(),
         ) else {
             continue;
         };

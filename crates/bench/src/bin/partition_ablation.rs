@@ -9,8 +9,8 @@
 use std::time::Instant;
 
 use rtlb_bench::{counters_json, write_bench_json, TextTable};
-use rtlb_core::{analyze_with, analyze_with_probe, AnalysisOptions, SystemModel};
-use rtlb_obs::{Json, Recorder};
+use rtlb_core::{analyze_ctl, AnalysisOptions, CancelToken, SystemModel};
+use rtlb_obs::{Json, Recorder, NULL_PROBE};
 use rtlb_workloads::independent_tasks;
 
 fn main() {
@@ -32,24 +32,27 @@ fn main() {
         let graph = independent_tasks(n, 3, 42);
 
         let t0 = Instant::now();
-        let flat = analyze_with(
+        let flat = analyze_ctl(
             &graph,
             &SystemModel::shared(),
             AnalysisOptions {
                 partitioning: false,
                 ..AnalysisOptions::default()
             },
+            &NULL_PROBE,
+            &CancelToken::none(),
         )
         .expect("feasible");
         let flat_time = t0.elapsed();
 
         let recorder = Recorder::new();
         let t0 = Instant::now();
-        let part = analyze_with_probe(
+        let part = analyze_ctl(
             &graph,
             &SystemModel::shared(),
             AnalysisOptions::default(),
             &recorder,
+            &CancelToken::none(),
         )
         .expect("feasible");
         let part_time = t0.elapsed();

@@ -16,9 +16,9 @@
 use std::time::Instant;
 
 use rtlb_bench::{counters_json, write_bench_json, TextTable};
-use rtlb_core::{analyze_with, AnalysisOptions, AnalysisSession, Delta, SystemModel};
+use rtlb_core::{analyze_ctl, AnalysisOptions, AnalysisSession, CancelToken, Delta, SystemModel};
 use rtlb_graph::{Dur, TaskId};
-use rtlb_obs::{Json, Recorder};
+use rtlb_obs::{Json, Recorder, NULL_PROBE};
 use rtlb_workloads::framed_tasks;
 
 const FRAMES: usize = 100;
@@ -67,12 +67,19 @@ fn main() {
 
         let t0 = Instant::now();
         let stats = session
-            .apply_probed(&[delta], &recorder)
+            .apply_ctl(&[delta], &recorder, &CancelToken::none())
             .expect("shrinking C keeps the workload feasible");
         let incr_micros = t0.elapsed().as_micros() as u64;
 
         let t0 = Instant::now();
-        let scratch = analyze_with(session.graph(), &model, options).expect("feasible");
+        let scratch = analyze_ctl(
+            session.graph(),
+            &model,
+            options,
+            &NULL_PROBE,
+            &CancelToken::none(),
+        )
+        .expect("feasible");
         let full_micros = t0.elapsed().as_micros() as u64;
 
         assert_eq!(

@@ -7,7 +7,7 @@
 //! ```
 
 use rtlb_bench::{counters_json, write_bench_json, TextTable};
-use rtlb_core::{analyze_with_probe, theta, AnalysisOptions, SystemModel};
+use rtlb_core::{analyze_ctl, theta, AnalysisOptions, CancelToken, SystemModel};
 use rtlb_graph::Time;
 use rtlb_obs::{Json, Recorder};
 use rtlb_workloads::paper_example;
@@ -15,11 +15,12 @@ use rtlb_workloads::paper_example;
 fn main() {
     let ex = paper_example();
     let recorder = Recorder::new();
-    let analysis = analyze_with_probe(
+    let analysis = analyze_ctl(
         &ex.graph,
         &SystemModel::shared(),
         AnalysisOptions::default(),
         &recorder,
+        &CancelToken::none(),
     )
     .expect("feasible");
 

@@ -2,13 +2,11 @@
 //! over the paper-faithful sweep on the shipped `examples/windows/`
 //! corpus, plus a random layered family for context.
 //!
-//! For every instance the three levels are run side by side:
-//! `paper` and `timeline` must agree bit-for-bit (the Timeline is a
-//! pure reimplementation of the paper's packing), and `filtered` may
-//! only raise bounds. On the shipped corpus each filtered bound is also
-//! checked against the complete exact search, so every reported gain is
-//! a *true* gain, not an unsound refutation. Writes
-//! `BENCH_windows.json`.
+//! For every instance both levels are run side by side, and `filtered`
+//! may only raise bounds over `timeline`. On the shipped corpus each
+//! filtered bound is also checked against the complete exact search, so
+//! every reported gain is a *true* gain, not an unsound refutation.
+//! Writes `BENCH_windows.json`.
 //!
 //! ```sh
 //! cargo run -p rtlb-bench --bin windows_study
@@ -17,9 +15,9 @@
 use std::path::Path;
 
 use rtlb_bench::{write_bench_json, TextTable};
-use rtlb_core::{analyze_with, analyze_with_probe, AnalysisOptions, PropagationLevel, SystemModel};
+use rtlb_core::{analyze_ctl, AnalysisOptions, CancelToken, PropagationLevel, SystemModel};
 use rtlb_graph::TaskGraph;
-use rtlb_obs::{Json, MetricsRegistry};
+use rtlb_obs::{Json, MetricsRegistry, NULL_PROBE};
 use rtlb_sched::{min_units_exact, Capacities, SearchBudget};
 use rtlb_workloads::{layered, LayeredConfig};
 
@@ -30,22 +28,27 @@ fn options_at(level: PropagationLevel) -> AnalysisOptions {
     }
 }
 
-/// Max resource bound of one analysis run, per level, with the
-/// paper/timeline bit-identity and filtered dominance asserted.
-fn levels_max_lb(graph: &TaskGraph, probe: &MetricsRegistry, name: &str) -> [u32; 3] {
+/// Max resource bound of one analysis run, per level, with filtered
+/// dominance asserted.
+fn levels_max_lb(graph: &TaskGraph, probe: &MetricsRegistry, name: &str) -> [u32; 2] {
     let model = SystemModel::shared();
-    let paper = analyze_with(graph, &model, options_at(PropagationLevel::Paper))
-        .unwrap_or_else(|e| panic!("{name} (paper): {e}"));
-    let timeline = analyze_with(graph, &model, options_at(PropagationLevel::Timeline))
-        .unwrap_or_else(|e| panic!("{name} (timeline): {e}"));
-    let filtered = analyze_with_probe(graph, &model, options_at(PropagationLevel::Filtered), probe)
-        .unwrap_or_else(|e| panic!("{name} (filtered): {e}"));
+    let timeline = analyze_ctl(
+        graph,
+        &model,
+        options_at(PropagationLevel::Timeline),
+        &NULL_PROBE,
+        &CancelToken::none(),
+    )
+    .unwrap_or_else(|e| panic!("{name} (timeline): {e}"));
+    let filtered = analyze_ctl(
+        graph,
+        &model,
+        options_at(PropagationLevel::Filtered),
+        probe,
+        &CancelToken::none(),
+    )
+    .unwrap_or_else(|e| panic!("{name} (filtered): {e}"));
 
-    assert_eq!(
-        paper.bounds(),
-        timeline.bounds(),
-        "{name}: paper and timeline packing must agree bit-for-bit"
-    );
     for (t, f) in timeline.bounds().iter().zip(filtered.bounds()) {
         assert!(
             f.bound >= t.bound,
@@ -56,16 +59,18 @@ fn levels_max_lb(graph: &TaskGraph, probe: &MetricsRegistry, name: &str) -> [u32
         );
     }
     let max = |a: &rtlb_core::Analysis| a.bounds().iter().map(|b| b.bound).max().unwrap_or(0);
-    [max(&paper), max(&timeline), max(&filtered)]
+    [max(&timeline), max(&filtered)]
 }
 
 /// Checks every filtered bound of `graph` against the complete exact
 /// search; returns the number of bounds the oracle could decide.
 fn check_exact(graph: &TaskGraph, name: &str) -> u32 {
-    let filtered = analyze_with(
+    let filtered = analyze_ctl(
         graph,
         &SystemModel::shared(),
         options_at(PropagationLevel::Filtered),
+        &NULL_PROBE,
+        &CancelToken::none(),
     )
     .unwrap_or_else(|e| panic!("{name} (filtered): {e}"));
     let generous = Capacities::uniform(graph, graph.task_count() as u32);
@@ -104,7 +109,7 @@ fn main() {
     assert!(!files.is_empty(), "shipped corpus must not be empty");
 
     let probe = MetricsRegistry::new();
-    let mut table = TextTable::new(["instance", "paper", "timeline", "filtered", "gain"]);
+    let mut table = TextTable::new(["instance", "timeline", "filtered", "gain"]);
     let mut corpus_rows = Vec::new();
     let mut gains = Vec::new();
     let mut oracle_checks = 0;
@@ -112,20 +117,18 @@ fn main() {
         let name = path.file_name().unwrap().to_string_lossy().into_owned();
         let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{name}: {e}"));
         let parsed = rtlb_format::parse(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
-        let [p, t, f] = levels_max_lb(&parsed.graph, &probe, &name);
+        let [t, f] = levels_max_lb(&parsed.graph, &probe, &name);
         oracle_checks += check_exact(&parsed.graph, &name);
         let gain = f - t;
         gains.push(gain);
         table.row([
             name.clone(),
-            p.to_string(),
             t.to_string(),
             f.to_string(),
             format!("+{gain}"),
         ]);
         corpus_rows.push(Json::Obj(vec![
             ("instance".to_owned(), Json::str(&name)),
-            ("lb_paper".to_owned(), Json::Int(i64::from(p))),
             ("lb_timeline".to_owned(), Json::Int(i64::from(t))),
             ("lb_filtered".to_owned(), Json::Int(i64::from(f))),
             ("gain".to_owned(), Json::Int(i64::from(gain))),
@@ -160,16 +163,18 @@ fn main() {
     for seed in 0..seeds {
         let graph = layered(&config, seed);
         let name = format!("layered seed {seed}");
-        if analyze_with(
+        if analyze_ctl(
             &graph,
             &SystemModel::shared(),
-            options_at(PropagationLevel::Paper),
+            options_at(PropagationLevel::Timeline),
+            &NULL_PROBE,
+            &CancelToken::none(),
         )
         .is_err()
         {
             continue; // tight seeds can be infeasible; gains need a baseline
         }
-        let [_, t, f] = levels_max_lb(&graph, &probe, &name);
+        let [t, f] = levels_max_lb(&graph, &probe, &name);
         family_gain += f - t;
         family_runs += 1;
     }

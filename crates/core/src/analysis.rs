@@ -9,13 +9,13 @@ use crate::bounds::{resource_bound_unpartitioned_ctl, CandidatePolicy, ResourceB
 use crate::cancel::CancelToken;
 use crate::cost::{dedicated_cost_bound, shared_cost_bound, DedicatedCostBound, SharedCostBound};
 use crate::error::AnalysisError;
-use crate::estlct::{compute_timing_ctl_packed, TimingAnalysis};
+use crate::estlct::{compute_timing_ctl, TimingAnalysis};
 use crate::model::SystemModel;
 use crate::partition::{partition_all, ResourcePartition};
 use crate::propagate::{refine_bounds, PropagationLevel};
 use crate::sweep::{sweep_partitions_ctl, SweepStrategy};
 
-/// Tuning knobs for [`analyze_with`].
+/// Tuning knobs for [`analyze_ctl`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct AnalysisOptions {
     /// Apply the Figure 4 partitioning before the interval sweep
@@ -42,10 +42,9 @@ pub struct AnalysisOptions {
     /// taken literally. Results are identical for every value — chunk
     /// maxima merge in ascending-`t1` order with the serial tie-break.
     pub chunk_columns: usize,
-    /// Window-packing engine and post-sweep filtering level.
-    /// [`PropagationLevel::Paper`] and the default
-    /// [`PropagationLevel::Timeline`] produce bit-identical bounds;
-    /// [`PropagationLevel::Filtered`] additionally runs
+    /// Post-sweep filtering level: the default
+    /// [`PropagationLevel::Timeline`] reports the sweep's bounds as they
+    /// are; [`PropagationLevel::Filtered`] additionally runs
     /// capacity-conditional detectable-precedence / edge-finding
     /// filtering after the sweep and can only raise bounds.
     pub propagation: PropagationLevel,
@@ -74,9 +73,8 @@ impl AnalysisOptions {
     /// bit-identical by contract, but the naive oracle path is exactly
     /// what we never want silently served from a fast-path cache entry
     /// or vice versa when debugging a divergence). `propagation` is
-    /// included for the same two reasons at once: `filtered` computes a
-    /// genuinely different (tighter) bound, and `paper`/`timeline` are
-    /// bit-identical only by contract. `parallelism` and
+    /// included because `filtered` computes a genuinely different
+    /// (tighter) bound. `parallelism` and
     /// `chunk_columns` are pure execution shape — results are documented
     /// and property-tested identical for every value — so they are
     /// excluded: runs at different pool sizes share cache entries.
@@ -236,39 +234,13 @@ impl Analysis {
 /// # }
 /// ```
 pub fn analyze(graph: &TaskGraph, model: &SystemModel) -> Result<Analysis, AnalysisError> {
-    analyze_with(graph, model, AnalysisOptions::default())
-}
-
-/// Runs steps 1–3 with explicit options.
-///
-/// # Errors
-///
-/// Same as [`analyze`].
-pub fn analyze_with(
-    graph: &TaskGraph,
-    model: &SystemModel,
-    options: AnalysisOptions,
-) -> Result<Analysis, AnalysisError> {
-    analyze_with_probe(graph, model, options, &NULL_PROBE)
-}
-
-/// [`analyze_with`], reporting per-stage spans and pipeline counters to
-/// `probe`.
-///
-/// Instrumentation is purely observational: the returned [`Analysis`] is
-/// bit-identical whatever probe is attached (including [`NULL_PROBE`],
-/// which compiles to no-ops).
-///
-/// # Errors
-///
-/// Same as [`analyze`].
-pub fn analyze_with_probe(
-    graph: &TaskGraph,
-    model: &SystemModel,
-    options: AnalysisOptions,
-    probe: &dyn Probe,
-) -> Result<Analysis, AnalysisError> {
-    analyze_ctl(graph, model, options, probe, &CancelToken::none())
+    analyze_ctl(
+        graph,
+        model,
+        AnalysisOptions::default(),
+        &NULL_PROBE,
+        &CancelToken::none(),
+    )
 }
 
 /// Largest magnitude any input quantity may have for the pipeline's
@@ -315,9 +287,15 @@ fn check_magnitudes(graph: &TaskGraph) -> Result<(), AnalysisError> {
     Ok(())
 }
 
-/// [`analyze_with_probe`] polling `ctl` at every pipeline checkpoint:
-/// once per task in the timing passes, once per `t1` column in the
-/// sweeps. This is the batch driver's per-instance entry point.
+/// Runs steps 1–3 with explicit options, reporting per-stage spans and
+/// pipeline counters to `probe` and polling `ctl` at every pipeline
+/// checkpoint: once per task in the timing passes, once per `t1` column
+/// in the sweeps.
+///
+/// Instrumentation is purely observational: the returned [`Analysis`] is
+/// bit-identical whatever probe is attached (including [`NULL_PROBE`],
+/// which compiles to no-ops), and a token that never trips
+/// ([`CancelToken::none`]) is invisible.
 ///
 /// Also rejects instances whose magnitudes could overflow the `i64`
 /// arithmetic (see [`AnalysisError::BoundOverflow`]) before any
@@ -346,7 +324,7 @@ pub fn analyze_ctl(
 
     let timing = {
         let _step = span(probe, "analyze.timing", Label::None);
-        compute_timing_ctl_packed(graph, model, options.propagation.packing(), probe, ctl)?
+        compute_timing_ctl(graph, model, probe, ctl)?
     };
 
     {
@@ -441,18 +419,42 @@ mod tests {
     #[test]
     fn options_toggle_partitioning_without_changing_bounds() {
         let (g, p) = three_tight_tasks();
-        let with = analyze_with(&g, &SystemModel::shared(), AnalysisOptions::default()).unwrap();
-        let without = analyze_with(
+        let with = analyze(&g, &SystemModel::shared()).unwrap();
+        let without = analyze_ctl(
             &g,
             &SystemModel::shared(),
             AnalysisOptions {
                 partitioning: false,
                 ..AnalysisOptions::default()
             },
+            &NULL_PROBE,
+            &CancelToken::none(),
         )
         .unwrap();
         assert_eq!(with.units_required(p), without.units_required(p));
         assert!(without.partitions().is_empty());
+    }
+
+    /// Cache keys embed the fingerprint: these strings must not change
+    /// unless the cache's canon version does.
+    #[test]
+    fn semantic_fingerprint_strings_are_stable() {
+        assert_eq!(
+            AnalysisOptions::default().semantic_fingerprint(),
+            "partitioning=true;candidates=est-lct;sweep=incremental;propagation=timeline"
+        );
+        let toggled = AnalysisOptions {
+            partitioning: false,
+            candidates: CandidatePolicy::Extended,
+            sweep: SweepStrategy::Naive,
+            parallelism: 4,
+            chunk_columns: 16,
+            propagation: PropagationLevel::Filtered,
+        };
+        assert_eq!(
+            toggled.semantic_fingerprint(),
+            "partitioning=false;candidates=extended;sweep=naive;propagation=filtered"
+        );
     }
 
     #[test]
@@ -533,7 +535,14 @@ mod tests {
                 propagation: level,
                 ..AnalysisOptions::default()
             };
-            analyze_with_probe(&g, &SystemModel::shared(), options, &registry).unwrap();
+            analyze_ctl(
+                &g,
+                &SystemModel::shared(),
+                options,
+                &registry,
+                &CancelToken::none(),
+            )
+            .unwrap();
             let profile = PhaseProfile::from_snapshot(&registry.snapshot());
             let row = profile
                 .phases

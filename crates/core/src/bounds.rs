@@ -40,7 +40,7 @@ use crate::cancel::CancelToken;
 use crate::error::AnalysisError;
 use crate::estlct::TimingAnalysis;
 use crate::overlap::task_overlap;
-use crate::partition::{partition_tasks, ResourcePartition};
+use crate::partition::ResourcePartition;
 use crate::sweep::{sweep_partition_into, SweepStrategy};
 
 /// Aggregate minimum demand `Θ` of a set of tasks on an interval.
@@ -229,44 +229,13 @@ pub fn resource_bound(
     timing: &TimingAnalysis,
     partition: &ResourcePartition,
 ) -> Result<ResourceBound, AnalysisError> {
-    resource_bound_with(graph, timing, partition, CandidatePolicy::EstLct)
-}
-
-/// [`resource_bound`] with an explicit candidate-point policy.
-///
-/// # Errors
-///
-/// Same as [`resource_bound`].
-pub fn resource_bound_with(
-    graph: &TaskGraph,
-    timing: &TimingAnalysis,
-    partition: &ResourcePartition,
-    policy: CandidatePolicy,
-) -> Result<ResourceBound, AnalysisError> {
-    resource_bound_sweep(graph, timing, partition, policy, SweepStrategy::default())
-}
-
-/// [`resource_bound`] with explicit candidate-point policy *and* sweep
-/// strategy. Both strategies produce bit-identical results; the naive
-/// one is the differential-testing oracle.
-///
-/// # Errors
-///
-/// Same as [`resource_bound`].
-pub fn resource_bound_sweep(
-    graph: &TaskGraph,
-    timing: &TimingAnalysis,
-    partition: &ResourcePartition,
-    policy: CandidatePolicy,
-    strategy: SweepStrategy,
-) -> Result<ResourceBound, AnalysisError> {
     let mut max = RatioMax::default();
     sweep_partition_into(
         graph,
         timing,
         partition,
-        policy,
-        strategy,
+        CandidatePolicy::EstLct,
+        SweepStrategy::Incremental,
         &mut max,
         &CancelToken::none(),
     )?;
@@ -274,38 +243,11 @@ pub fn resource_bound_sweep(
 }
 
 /// [`resource_bound`] without Theorem 5: one sweep over the candidate
-/// points of *all* tasks demanding the resource. Produces the same bound
-/// (Theorem 5) at a higher interval count; kept for the ablation study.
-///
-/// # Errors
-///
-/// Same as [`resource_bound`].
-pub fn resource_bound_unpartitioned(
-    graph: &TaskGraph,
-    timing: &TimingAnalysis,
-    resource: ResourceId,
-) -> Result<ResourceBound, AnalysisError> {
-    resource_bound_unpartitioned_with(graph, timing, resource, CandidatePolicy::EstLct)
-}
-
-/// [`resource_bound_unpartitioned`] with an explicit candidate-point
-/// policy. Always uses the naive `Θ` recomputation, making it a second,
-/// structurally different oracle for the incremental sweep.
-///
-/// # Errors
-///
-/// Same as [`resource_bound`].
-pub fn resource_bound_unpartitioned_with(
-    graph: &TaskGraph,
-    timing: &TimingAnalysis,
-    resource: ResourceId,
-    policy: CandidatePolicy,
-) -> Result<ResourceBound, AnalysisError> {
-    resource_bound_unpartitioned_ctl(graph, timing, resource, policy, &CancelToken::none())
-}
-
-/// [`resource_bound_unpartitioned_with`] polling `ctl` once per sweep
-/// column — the interruption checkpoint for the ablation path.
+/// points of *all* tasks demanding the resource, polling `ctl` once per
+/// sweep column. Produces the same bound (Theorem 5) at a higher interval
+/// count; kept for the ablation study. Always uses the naive `Θ`
+/// recomputation, making it a second, structurally different oracle for
+/// the incremental sweep.
 ///
 /// # Errors
 ///
@@ -331,29 +273,15 @@ pub fn resource_bound_unpartitioned_ctl(
     max.into_bound(resource)
 }
 
-/// Computes `LB_r` for every demanded resource, partitioning each with
-/// Figure 4 first. Results are in resource-id order.
-///
-/// # Errors
-///
-/// Same as [`resource_bound`].
-pub fn lower_bounds(
-    graph: &TaskGraph,
-    timing: &TimingAnalysis,
-) -> Result<Vec<ResourceBound>, AnalysisError> {
-    graph
-        .resources_used()
-        .into_iter()
-        .map(|r| resource_bound(graph, timing, &partition_tasks(graph, timing, r)))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::estlct::compute_timing;
     use crate::model::SystemModel;
+    use crate::partition::partition_tasks;
+    use crate::sweep::sweep_partitions_ctl;
     use rtlb_graph::{Catalog, TaskGraphBuilder, TaskSpec};
+    use rtlb_obs::NULL_PROBE;
 
     /// Independent tasks: (release, deadline, computation, preemptive).
     fn graph_of(windows: &[(i64, i64, i64, bool)]) -> (TaskGraph, ResourceId) {
@@ -375,6 +303,28 @@ mod tests {
     fn bound_of(g: &TaskGraph, r: ResourceId) -> ResourceBound {
         let timing = compute_timing(g, &SystemModel::shared());
         resource_bound(g, &timing, &partition_tasks(g, &timing, r)).unwrap()
+    }
+
+    /// The extended-grid bound of one partition, through the sweep's
+    /// full-context entry point.
+    fn extended_bound(
+        g: &TaskGraph,
+        timing: &TimingAnalysis,
+        part: &ResourcePartition,
+    ) -> ResourceBound {
+        sweep_partitions_ctl(
+            g,
+            timing,
+            std::slice::from_ref(part),
+            CandidatePolicy::Extended,
+            SweepStrategy::Incremental,
+            1,
+            0,
+            &NULL_PROBE,
+            &CancelToken::none(),
+        )
+        .unwrap()
+        .remove(0)
     }
 
     #[test]
@@ -429,7 +379,14 @@ mod tests {
         let part = partition_tasks(&g, &timing, p);
         assert!(part.blocks.len() >= 2, "fixture should partition");
         let with = resource_bound(&g, &timing, &part).unwrap();
-        let without = resource_bound_unpartitioned(&g, &timing, p).unwrap();
+        let without = resource_bound_unpartitioned_ctl(
+            &g,
+            &timing,
+            p,
+            CandidatePolicy::EstLct,
+            &CancelToken::none(),
+        )
+        .unwrap();
         assert_eq!(with.bound, without.bound);
         // Partitioning examines no more intervals than the flat sweep.
         assert!(with.intervals_examined <= without.intervals_examined);
@@ -467,7 +424,7 @@ mod tests {
     }
 
     #[test]
-    fn lower_bounds_covers_all_resources() {
+    fn analysis_bounds_every_demanded_resource() {
         let mut c = Catalog::new();
         let p1 = c.processor("P1");
         let p2 = c.processor("P2");
@@ -479,8 +436,8 @@ mod tests {
         b.add_task(TaskSpec::new("b", Dur::new(4), p2).resource(r))
             .unwrap();
         let g = b.build().unwrap();
-        let timing = compute_timing(&g, &SystemModel::shared());
-        let bounds = lower_bounds(&g, &timing).unwrap();
+        let analysis = crate::analysis::analyze(&g, &SystemModel::shared()).unwrap();
+        let bounds = analysis.bounds();
         assert_eq!(bounds.len(), 3);
         let of = |id: ResourceId| bounds.iter().find(|b| b.resource == id).unwrap().bound;
         assert_eq!(of(p1), 1);
@@ -499,7 +456,7 @@ mod tests {
             let timing = compute_timing(&g, &SystemModel::shared());
             let part = partition_tasks(&g, &timing, p);
             let std = resource_bound(&g, &timing, &part).unwrap();
-            let ext = resource_bound_with(&g, &timing, &part, CandidatePolicy::Extended).unwrap();
+            let ext = extended_bound(&g, &timing, &part);
             assert!(ext.bound >= std.bound);
             assert!(ext.intervals_examined >= std.intervals_examined);
         }
@@ -524,7 +481,7 @@ mod tests {
         let timing = compute_timing(&g, &SystemModel::shared());
         let part = partition_tasks(&g, &timing, p);
         let std = resource_bound(&g, &timing, &part).unwrap();
-        let ext = resource_bound_with(&g, &timing, &part, CandidatePolicy::Extended).unwrap();
+        let ext = extended_bound(&g, &timing, &part);
         assert!(ext.bound >= std.bound);
         // Both remain valid: total work 22 in a span of 12 → at least 2.
         assert!(std.bound >= 2);

@@ -228,8 +228,7 @@ fn integral_i64(v: Rational, what: &str) -> Result<i64, AnalysisError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bounds::lower_bounds;
-    use crate::estlct::compute_timing;
+    use crate::analysis::analyze;
     use crate::model::{NodeType, SystemModel};
     use rtlb_graph::{Catalog, Dur, TaskGraphBuilder, TaskSpec, Time};
 
@@ -428,14 +427,14 @@ mod tests {
                 .unwrap();
         }
         let g = b.build().unwrap();
-        let timing = compute_timing(&g, &SystemModel::shared());
-        let bounds = lower_bounds(&g, &timing).unwrap();
+        let analysis = analyze(&g, &SystemModel::shared()).unwrap();
+        let bounds = analysis.bounds();
 
         let shared = SharedModel::new().with_cost(p, 7);
-        assert_eq!(shared_cost_bound(&shared, &bounds).unwrap().total, 21);
+        assert_eq!(shared_cost_bound(&shared, bounds).unwrap().total, 21);
 
         let dedicated = DedicatedModel::new(vec![NodeType::new("n", p, [], 7)]);
-        let cost = dedicated_cost_bound(&g, &dedicated, &bounds).unwrap();
+        let cost = dedicated_cost_bound(&g, &dedicated, bounds).unwrap();
         assert_eq!(cost.total, 21);
         assert_eq!(cost.lp_relaxation, Rational::from(21));
     }

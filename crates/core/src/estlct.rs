@@ -252,28 +252,11 @@ pub fn compute_timing_traced(
     (analysis, trace)
 }
 
-/// [`compute_timing`] reporting into `probe`: `timing.lct_pass` and
-/// `timing.est_pass` spans around the two Figure 2/3 evaluation orders,
-/// plus `timing.merge_candidates` / `timing.merges_accepted` counters for
-/// the merge-selection scans. The windows are bit-identical with any
-/// probe.
-pub fn compute_timing_probed(
-    graph: &TaskGraph,
-    model: &SystemModel,
-    probe: &dyn Probe,
-) -> TimingAnalysis {
-    uncancellable(compute_timing_inner(
-        graph,
-        model,
-        Packing::Timeline,
-        None,
-        probe,
-        &CancelToken::none(),
-    ))
-}
-
-/// [`compute_timing_probed`] polling `ctl` once per task in each of the
-/// two Figure 2/3 passes.
+/// [`compute_timing`] reporting into `probe` and polling `ctl` once per
+/// task in each of the two Figure 2/3 passes: `timing.lct_pass` and
+/// `timing.est_pass` spans around the two evaluation orders, plus
+/// `timing.merge_candidates` / `timing.merges_accepted` counters for the
+/// merge-selection scans. The windows are bit-identical with any probe.
 ///
 /// # Errors
 ///
@@ -288,13 +271,14 @@ pub fn compute_timing_ctl(
     compute_timing_inner(graph, model, Packing::Timeline, None, probe, ctl)
 }
 
-/// [`compute_timing_ctl`] with an explicit packing implementation —
-/// `--propagation=paper` runs the faithful sequential re-packing as the
-/// differential baseline; the windows are bit-identical either way.
+/// [`compute_timing_ctl`] with an explicit packing implementation — the
+/// paper's sequential re-packing is the differential oracle for the
+/// Timeline; the windows are bit-identical either way.
 ///
 /// # Errors
 ///
 /// Same as [`compute_timing_ctl`].
+#[cfg(test)]
 pub(crate) fn compute_timing_ctl_packed(
     graph: &TaskGraph,
     model: &SystemModel,
@@ -381,13 +365,14 @@ fn compute_timing_inner(
 
 /// Which implementation evaluates the paper's `lst(A)`/`ect(A)` packings
 /// inside the Figure 2/3 merge scans. Both produce bit-identical window
-/// values; `Paper` is the faithful sequential re-packing kept as the
-/// differential baseline, `Timeline` the union-find pour that amortizes
-/// the per-prefix evaluations to near-linear.
+/// values; `Timeline` is the union-find pour that amortizes the
+/// per-prefix evaluations to near-linear, `Paper` the faithful sequential
+/// re-packing the tests keep as its differential oracle.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Packing {
     /// Sequential sorted packing straight from Equations 4.1/4.5, on a
     /// reused scratch buffer (no per-call allocation or re-sort).
+    #[cfg(test)]
     Paper,
     /// Incremental union-find [`Timeline`] pour.
     Timeline,
@@ -408,6 +393,7 @@ pub(crate) struct Packer {
     packing: Packing,
     /// Paper path: `(boundary, computation)` pairs, sorted ascending by
     /// boundary (EST for `ect`, LCT for `lst`); reused across scans.
+    #[cfg(test)]
     sorted: Vec<(i64, i64)>,
     timeline: Timeline,
 }
@@ -416,6 +402,7 @@ impl Packer {
     pub(crate) fn new(packing: Packing) -> Packer {
         Packer {
             packing,
+            #[cfg(test)]
             sorted: Vec::new(),
             timeline: Timeline::new(),
         }
@@ -423,6 +410,7 @@ impl Packer {
 
     /// Starts a fresh (empty) task set, keeping allocations.
     pub(crate) fn begin(&mut self) {
+        #[cfg(test)]
         self.sorted.clear();
         self.timeline.clear();
     }
@@ -433,6 +421,7 @@ impl Packer {
         self.timeline.unions()
     }
 
+    #[cfg(test)]
     fn push_sorted(&mut self, boundary: i64, c: i64) {
         let at = self.sorted.partition_point(|&(b, _)| b <= boundary);
         self.sorted.insert(at, (boundary, c));
@@ -442,6 +431,7 @@ impl Packer {
     /// `ect` set.
     pub(crate) fn push_est(&mut self, est: Time, c: Dur) {
         match self.packing {
+            #[cfg(test)]
             Packing::Paper => self.push_sorted(est.ticks(), c.ticks()),
             Packing::Timeline => {
                 self.timeline.insert(est.ticks(), c.ticks());
@@ -454,6 +444,7 @@ impl Packer {
     /// exactly `floor` for the empty set.
     pub(crate) fn ect_clamped(&mut self, floor: Time) -> Time {
         let packed = match self.packing {
+            #[cfg(test)]
             Packing::Paper => {
                 let mut finish: Option<i64> = None;
                 for &(e, c) in &self.sorted {
@@ -471,6 +462,7 @@ impl Packer {
     /// `lst` set.
     pub(crate) fn push_lct(&mut self, lct: Time, c: Dur) {
         match self.packing {
+            #[cfg(test)]
             Packing::Paper => self.push_sorted(lct.ticks(), c.ticks()),
             // lst over {(L_j, C_j)} = -ect over {(-L_j, C_j)}.
             Packing::Timeline => {
@@ -484,6 +476,7 @@ impl Packer {
     /// and exactly `ceiling` for the empty set.
     pub(crate) fn lst_clamped(&mut self, ceiling: Time) -> Time {
         let packed = match self.packing {
+            #[cfg(test)]
             Packing::Paper => {
                 let mut start: Option<i64> = None;
                 for &(l, c) in self.sorted.iter().rev() {
@@ -1085,5 +1078,135 @@ mod tests {
                 assert_eq!(paper.ect_clamped(clamp), timeline.ect_clamped(clamp));
             }
         }
+    }
+
+    /// A random instance for the packing differential, from one seed:
+    /// 2–10 tasks on two processor types sharing one plain resource,
+    /// a third of them preemptive, with release offsets, deadlines from
+    /// tight (some instances are infeasible) to loose, and forward edges
+    /// carrying 0–4 tick messages. Half the seeds pair it with a
+    /// dedicated model whose node types host every task (so merge
+    /// eligibility also depends on resource co-location), the other half
+    /// with the shared model.
+    fn random_instance(seed: u64) -> (TaskGraph, SystemModel) {
+        let mut state = seed;
+        let mut next = |bound: u64| -> i64 {
+            // splitmix64
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % bound) as i64
+        };
+        let mut c = Catalog::new();
+        let procs = [c.processor("P0"), c.processor("P1")];
+        let r = c.resource("r");
+        let mut b = TaskGraphBuilder::new(c);
+        let n = 2 + next(9);
+        let mut ids = Vec::new();
+        for i in 0..n {
+            let comp = 1 + next(6);
+            let release = next(6);
+            let slack = if next(2) == 0 { next(3) } else { next(13) };
+            let mut spec = TaskSpec::new(format!("t{i}"), Dur::new(comp), procs[next(2) as usize])
+                .release(Time::new(release))
+                .deadline(Time::new(release + comp + slack + next(2) * 3 * n));
+            if next(3) == 0 {
+                spec = spec.preemptive();
+            }
+            if next(2) == 0 {
+                spec = spec.resource(r);
+            }
+            ids.push(b.add_task(spec).unwrap());
+        }
+        for i in 0..ids.len() {
+            for j in (i + 1)..ids.len() {
+                if next(10) < 3 {
+                    b.add_edge(ids[i], ids[j], Dur::new(next(5))).unwrap();
+                }
+            }
+        }
+        let dedicated = SystemModel::dedicated(
+            procs
+                .iter()
+                .enumerate()
+                .map(|(k, &p)| crate::model::NodeType::new(format!("n{k}"), p, [r], 1))
+                .collect(),
+        );
+        let model = if next(2) == 0 { shared() } else { dedicated };
+        (b.build().unwrap(), model)
+    }
+
+    proptest::proptest! {
+        /// The paper's sequential re-packing is the oracle for the
+        /// Timeline: on random DAGs, preemptive and non-preemptive, with
+        /// messages, both packings give the same full `TimingAnalysis`
+        /// (windows and merge selections) and the same swept bounds
+        /// (values, witnesses, interval counts) under both candidate
+        /// grids.
+        #[test]
+        fn paper_packing_matches_timeline(seed in proptest::prelude::any::<u64>()) {
+            use crate::bounds::CandidatePolicy;
+            use crate::partition::partition_all;
+            use crate::sweep::{sweep_partitions_ctl, SweepStrategy};
+
+            let (graph, model) = random_instance(seed);
+            let none = CancelToken::none();
+            let timing = |packing| {
+                compute_timing_ctl_packed(&graph, &model, packing, &NULL_PROBE, &none).unwrap()
+            };
+            let (paper, timeline) = (timing(Packing::Paper), timing(Packing::Timeline));
+            proptest::prop_assert_eq!(&paper, &timeline);
+            let sweep = |timing: &TimingAnalysis, policy| {
+                timing.check_feasible(&graph)?;
+                let partitions = partition_all(&graph, timing);
+                sweep_partitions_ctl(
+                    &graph,
+                    timing,
+                    &partitions,
+                    policy,
+                    SweepStrategy::Incremental,
+                    1,
+                    0,
+                    &NULL_PROBE,
+                    &none,
+                )
+            };
+            for policy in [CandidatePolicy::EstLct, CandidatePolicy::Extended] {
+                proptest::prop_assert_eq!(sweep(&paper, policy), sweep(&timeline, policy));
+            }
+        }
+    }
+
+    /// The packing differential's generator reaches the cases it has to
+    /// cover: accepted merges, feasible and infeasible instances, and
+    /// both system models.
+    #[test]
+    fn random_instances_cover_merges_and_both_models() {
+        let (mut merged, mut feasible, mut infeasible, mut dedicated) = (0, 0, 0, 0);
+        for seed in 0..256 {
+            let (graph, model) = random_instance(seed);
+            let timing = compute_timing(&graph, &model);
+            if graph
+                .tasks()
+                .any(|(t, _)| !timing.merged_successors(t).is_empty())
+            {
+                merged += 1;
+            }
+            if timing.check_feasible(&graph).is_ok() {
+                feasible += 1;
+            } else {
+                infeasible += 1;
+            }
+            if model.as_dedicated().is_some() {
+                dedicated += 1;
+            }
+        }
+        assert!(
+            [merged, feasible, infeasible, dedicated]
+                .iter()
+                .all(|&n| n > 0),
+            "merged {merged}, feasible {feasible}, infeasible {infeasible}, dedicated {dedicated}"
+        );
     }
 }

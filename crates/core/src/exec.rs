@@ -1,6 +1,6 @@
 //! Shared scoped-thread execution helper.
 //!
-//! Both the Θ-sweep fan-out ([`crate::sweep::sweep_partitions_probed`])
+//! Both the Θ-sweep fan-out ([`crate::sweep::sweep_partitions_ctl`])
 //! and the session's dirty-resource re-sweep
 //! ([`crate::session::AnalysisSession`]) distribute independent jobs
 //! across a bounded pool of scoped threads, and batch drivers reuse the

@@ -10,13 +10,17 @@
 //!
 //! 1. **task windows** `[E_i, L_i]` — [`compute_timing`], Figures 2–3;
 //! 2. **per-resource partitions** — [`partition_tasks`], Figure 4;
-//! 3. **resource lower bounds** `LB_r` — [`resource_bound`] /
-//!    [`lower_bounds`], Theorems 3–5 and Equation 6.3;
+//! 3. **resource lower bounds** `LB_r` — [`resource_bound`], Theorems
+//!    3–5 and Equation 6.3;
 //! 4. **system-cost lower bounds** — [`shared_cost_bound`] /
 //!    [`dedicated_cost_bound`], Section 7 (the dedicated bound solves an
 //!    integer program with [`rtlb_ilp`]).
 //!
-//! The one-call entry point is [`analyze`]. For scenario sweeps that
+//! The one-call entry point is [`analyze`]; [`analyze_ctl`] takes explicit
+//! [`AnalysisOptions`], a metrics probe, and a cancellation token. Each
+//! step likewise has a default call and a full-context `_ctl` call
+//! ([`compute_timing_ctl`], [`sweep_partitions_ctl`],
+//! [`resource_bound_unpartitioned_ctl`]). For scenario sweeps that
 //! re-analyze many small variants of one instance, [`AnalysisSession`]
 //! applies typed [`Delta`] edits and recomputes only the dirty cone.
 //!
@@ -76,20 +80,17 @@ mod session;
 mod sweep;
 mod timeline;
 
-pub use analysis::{
-    analyze, analyze_ctl, analyze_with, analyze_with_probe, Analysis, AnalysisOptions,
-};
+pub use analysis::{analyze, analyze_ctl, Analysis, AnalysisOptions};
 pub use bounds::{
-    lower_bounds, resource_bound, resource_bound_sweep, resource_bound_unpartitioned,
-    resource_bound_unpartitioned_ctl, resource_bound_unpartitioned_with, resource_bound_with,
-    theta, CandidatePolicy, IntervalWitness, ResourceBound,
+    resource_bound, resource_bound_unpartitioned_ctl, theta, CandidatePolicy, IntervalWitness,
+    ResourceBound,
 };
 pub use cancel::{CancelToken, DEADLINE_STRIDE};
 pub use cost::{dedicated_cost_bound, shared_cost_bound, DedicatedCostBound, SharedCostBound};
 pub use error::AnalysisError;
 pub use estlct::{
-    compute_timing, compute_timing_ctl, compute_timing_probed, compute_timing_traced,
-    MergeDecision, MergeStep, TaskTrace, TaskWindow, TimingAnalysis, TimingTrace,
+    compute_timing, compute_timing_ctl, compute_timing_traced, MergeDecision, MergeStep, TaskTrace,
+    TaskWindow, TimingAnalysis, TimingTrace,
 };
 pub use exec::{effective_threads, run_jobs};
 pub use fault::{classify, panic_message, OutcomeKind, OUTCOME_KINDS};
@@ -104,4 +105,4 @@ pub use report::{
     render_timing_table,
 };
 pub use session::{AnalysisSession, ApplyStats, Delta};
-pub use sweep::{sweep_partitions, sweep_partitions_ctl, sweep_partitions_probed, SweepStrategy};
+pub use sweep::{sweep_partitions_ctl, SweepStrategy};

@@ -44,7 +44,7 @@ pub fn options_as_json(options: AnalysisOptions) -> Vec<(String, Json)> {
 /// Assembles the [`RunReport`] for one probed pipeline run.
 ///
 /// `metrics` must be the snapshot drained from the recorder that was
-/// attached to [`analyze_with_probe`](crate::analyze_with_probe) for the
+/// attached to [`analyze_ctl`](crate::analyze_ctl) for the
 /// same run; stage, thread, and partition timings are derived from its
 /// spans, the structural sections from `graph` and `analysis`. Cost
 /// totals start out `None` — callers that run step 4 fill
@@ -141,7 +141,8 @@ pub fn build_run_report(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::analyze_with_probe;
+    use crate::analysis::analyze_ctl;
+    use crate::cancel::CancelToken;
     use crate::model::SystemModel;
     use rtlb_graph::{Catalog, Dur, TaskGraphBuilder, TaskSpec, Time};
     use rtlb_obs::{Recorder, REPORT_SCHEMA};
@@ -165,7 +166,14 @@ mod tests {
         let g = fixture();
         let options = AnalysisOptions::default();
         let recorder = Recorder::new();
-        let analysis = analyze_with_probe(&g, &SystemModel::shared(), options, &recorder).unwrap();
+        let analysis = analyze_ctl(
+            &g,
+            &SystemModel::shared(),
+            options,
+            &recorder,
+            &CancelToken::none(),
+        )
+        .unwrap();
         let metrics = recorder.take_metrics();
         let report = build_run_report("fixture", &g, options, &analysis, &metrics);
 

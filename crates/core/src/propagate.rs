@@ -56,24 +56,19 @@ use crate::partition::ResourcePartition;
 use crate::sweep::{BlockArena, RampItem as Item, ThetaRow};
 use crate::timeline::Timeline;
 
-/// Which window-packing / filtering level the analysis runs at.
+/// Which filtering level the analysis runs at.
 ///
-/// `Paper` and `Timeline` produce bit-identical bounds (the Timeline is a
-/// pure reimplementation of the paper's `lst`/`ect` packing); `Filtered`
-/// additionally runs the capacity-conditional propagation pass and can
-/// only raise bounds. The paper-faithful level is kept as the
-/// differential baseline, the same pattern as the naive sweep oracle.
+/// `Timeline` reports the Equation 6.3 sweep's bounds as they are;
+/// `Filtered` additionally runs the capacity-conditional propagation
+/// pass and can only raise bounds. Both use the union-find Timeline for
+/// the Figure 2/3 `lst`/`ect` packings.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum PropagationLevel {
-    /// Sequential clone-free re-packing straight from the paper's
-    /// Equations 4.1/4.5; no filtering.
-    Paper,
-    /// Union-find Timeline packing (default); no filtering. Bounds are
-    /// bit-identical to `Paper`.
+    /// Union-find Timeline packing (default); no filtering.
     #[default]
     Timeline,
     /// Timeline packing plus detectable-precedence / edge-finding
-    /// filtering after the sweep; bounds dominate the other levels.
+    /// filtering after the sweep; bounds dominate `Timeline`.
     Filtered,
 }
 
@@ -82,7 +77,6 @@ impl PropagationLevel {
     /// fingerprint.
     pub fn label(self) -> &'static str {
         match self {
-            PropagationLevel::Paper => "paper",
             PropagationLevel::Timeline => "timeline",
             PropagationLevel::Filtered => "filtered",
         }
@@ -91,22 +85,9 @@ impl PropagationLevel {
     /// Parses the CLI spelling back into a level.
     pub fn parse(s: &str) -> Option<PropagationLevel> {
         match s {
-            "paper" => Some(PropagationLevel::Paper),
             "timeline" => Some(PropagationLevel::Timeline),
             "filtered" => Some(PropagationLevel::Filtered),
             _ => None,
-        }
-    }
-
-    /// Which `lst`/`ect` packing engine the Figure 2/3 scans use at this
-    /// level. Both engines are bit-identical by contract; `Paper` keeps
-    /// the sequential re-packing alive as the differential baseline.
-    pub(crate) fn packing(self) -> crate::estlct::Packing {
-        match self {
-            PropagationLevel::Paper => crate::estlct::Packing::Paper,
-            PropagationLevel::Timeline | PropagationLevel::Filtered => {
-                crate::estlct::Packing::Timeline
-            }
         }
     }
 

@@ -25,7 +25,7 @@
 //! scoped-thread pool as the full sweep ([`crate::exec::run_jobs`]).
 //!
 //! The result is **bit-identical** to a from-scratch
-//! [`analyze_with`](crate::analyze_with) on the edited graph — same
+//! [`analyze_ctl`](crate::analyze_ctl) on the edited graph — same
 //! bounds, witnesses, interval counts, windows, merge selections, and
 //! partitions — which `tests/session_matches_scratch.rs` enforces with a
 //! differential proptest oracle.
@@ -44,7 +44,7 @@ use crate::analysis::{Analysis, AnalysisOptions};
 use crate::bounds::{resource_bound_unpartitioned_ctl, RatioMax, ResourceBound};
 use crate::cancel::CancelToken;
 use crate::error::AnalysisError;
-use crate::estlct::{compute_timing_ctl_packed, est_of, lct_of, Packer, TimingAnalysis};
+use crate::estlct::{compute_timing_ctl, est_of, lct_of, Packer, Packing, TimingAnalysis};
 use crate::exec::{effective_threads, run_jobs};
 use crate::model::SystemModel;
 use crate::partition::{partition_tasks, ResourcePartition};
@@ -241,36 +241,20 @@ impl AnalysisSession {
     ///
     /// # Errors
     ///
-    /// Same as [`crate::analyze_with`]: [`AnalysisError::UnhostableTask`]
+    /// Same as [`crate::analyze`]: [`AnalysisError::UnhostableTask`]
     /// or [`AnalysisError::Infeasible`].
     pub fn new(
         graph: TaskGraph,
         model: SystemModel,
         options: AnalysisOptions,
     ) -> Result<AnalysisSession, AnalysisError> {
-        AnalysisSession::new_probed(graph, model, options, &NULL_PROBE)
+        AnalysisSession::new_ctl(graph, model, options, &NULL_PROBE, &CancelToken::none())
     }
 
     /// [`AnalysisSession::new`] reporting the initial full analysis into
-    /// `probe` (same spans and counters as
-    /// [`crate::analyze_with_probe`]'s timing stages, plus the sweep
-    /// counters of the per-block pass).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`AnalysisSession::new`].
-    pub fn new_probed(
-        graph: TaskGraph,
-        model: SystemModel,
-        options: AnalysisOptions,
-        probe: &dyn Probe,
-    ) -> Result<AnalysisSession, AnalysisError> {
-        AnalysisSession::new_ctl(graph, model, options, probe, &CancelToken::none())
-    }
-
-    /// [`AnalysisSession::new_probed`] polling `ctl` at the same
-    /// checkpoints as [`crate::analyze_ctl`] — the batch driver's
-    /// session-based entry point.
+    /// `probe` (same spans and counters as [`crate::analyze_ctl`]'s timing
+    /// stages, plus the sweep counters of the per-block pass) and polling
+    /// `ctl` at the same checkpoints as [`crate::analyze_ctl`].
     ///
     /// # Errors
     ///
@@ -285,8 +269,7 @@ impl AnalysisSession {
     ) -> Result<AnalysisSession, AnalysisError> {
         let _run = span(probe, "session.analyze", Label::None);
         model.validate(&graph)?;
-        let timing =
-            compute_timing_ctl_packed(&graph, &model, options.propagation.packing(), probe, ctl)?;
+        let timing = compute_timing_ctl(&graph, &model, probe, ctl)?;
         timing.check_feasible(&graph)?;
         let mut session = AnalysisSession {
             graph,
@@ -500,7 +483,7 @@ impl AnalysisSession {
     /// drops its sweep caches but the instance itself survives, so a
     /// later reopen re-analyzes the same graph from scratch — and, because
     /// [`AnalysisSession::new`] and [`apply`](AnalysisSession::apply) are
-    /// bit-identical to a fresh [`crate::analyze_with`], produces the same
+    /// bit-identical to a fresh [`crate::analyze_ctl`], produces the same
     /// bounds the resident session would have reported.
     pub fn into_graph(self) -> TaskGraph {
         self.graph
@@ -517,7 +500,7 @@ impl AnalysisSession {
     }
 
     /// Snapshots the session as a standalone [`Analysis`] — bit-identical
-    /// to what [`crate::analyze_with`] would produce for the current
+    /// to what [`crate::analyze_ctl`] would produce for the current
     /// graph, model, and options (provided no failed apply left pending
     /// edits, see [`has_pending_edits`](AnalysisSession::has_pending_edits)).
     pub fn to_analysis(&self) -> Analysis {
@@ -550,31 +533,19 @@ impl AnalysisSession {
     /// * [`AnalysisError::Infeasible`] if the edited windows cannot
     ///   contain their computations.
     pub fn apply(&mut self, deltas: &[Delta]) -> Result<ApplyStats, AnalysisError> {
-        self.apply_probed(deltas, &NULL_PROBE)
+        self.apply_ctl(deltas, &NULL_PROBE, &CancelToken::none())
     }
 
     /// [`apply`](AnalysisSession::apply) reporting into `probe`:
     /// `session.apply` / `session.timing` / `session.sweep` spans and the
     /// `session.tasks_recomputed`, `session.resources_dirty`,
     /// `session.blocks_resweeped`, `session.blocks_reused` counters
-    /// (plus the usual `sweep.*` counters for re-swept blocks).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`apply`](AnalysisSession::apply).
-    pub fn apply_probed(
-        &mut self,
-        deltas: &[Delta],
-        probe: &dyn Probe,
-    ) -> Result<ApplyStats, AnalysisError> {
-        self.apply_ctl(deltas, probe, &CancelToken::none())
-    }
-
-    /// [`apply_probed`](AnalysisSession::apply_probed) polling `ctl`
-    /// between pipeline stages and once per `t1` column inside re-swept
-    /// blocks. A cancelled apply behaves exactly like an infeasible one:
-    /// the error is returned, the dirty sets are retained, and the sweep
-    /// caches still reflect the last successfully analyzed instance.
+    /// (plus the usual `sweep.*` counters for re-swept blocks), and
+    /// polling `ctl` between pipeline stages and once per `t1` column
+    /// inside re-swept blocks. A cancelled apply behaves exactly like an
+    /// infeasible one: the error is returned, the dirty sets are
+    /// retained, and the sweep caches still reflect the last successfully
+    /// analyzed instance.
     ///
     /// # Errors
     ///
@@ -774,7 +745,7 @@ impl AnalysisSession {
             .map(|i| self.timing.est(TaskId::from_index(i)))
             .collect();
         let mut recomputed = 0u64;
-        let mut packer = Packer::new(self.options.propagation.packing());
+        let mut packer = Packer::new(Packing::Timeline);
         for &i in self.graph.topological_order() {
             if !dirty[i.index()] {
                 continue;
@@ -810,7 +781,7 @@ impl AnalysisSession {
             .map(|i| self.timing.lct(TaskId::from_index(i)))
             .collect();
         let mut recomputed = 0u64;
-        let mut packer = Packer::new(self.options.propagation.packing());
+        let mut packer = Packer::new(Packing::Timeline);
         for i in self.graph.reverse_topological_order() {
             if !dirty[i.index()] {
                 continue;

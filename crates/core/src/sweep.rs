@@ -54,7 +54,7 @@
 //!
 //! Columns are independent, so [`plan_block`] splits each block's `t1`
 //! range into contiguous chunks ([`crate::exec::chunk_spans`]) and
-//! [`sweep_partitions`] fans block×chunk jobs across cores with
+//! [`sweep_partitions_ctl`] fans block×chunk jobs across cores with
 //! `std::thread::scope`. Merging the per-chunk maxima in deterministic
 //! ascending-`t1` chunk order with the first-wins strict comparison of
 //! [`RatioMax::merge`] reproduces the serial result exactly, whatever the
@@ -68,7 +68,7 @@
 use std::ops::Range;
 
 use rtlb_graph::{Dur, TaskGraph, TaskId, Time};
-use rtlb_obs::{span, Label, Probe, NULL_PROBE};
+use rtlb_obs::{span, Label, Probe};
 use serde::{Deserialize, Serialize};
 
 use crate::bounds::{candidate_points, CandidatePolicy, RatioMax, ResourceBound};
@@ -632,78 +632,30 @@ pub(crate) fn sweep_partition_into(
 
 /// Computes `LB_r` for every partition, fanning the per-block sweeps out
 /// across `parallelism` threads (`0` = all available cores, `1` =
-/// serial). Blocks are further split into contiguous `t1` chunks for
-/// load balance. Results are bit-identical to the serial sweep for any
-/// thread count: chunk maxima are merged in deterministic ascending-`t1`
-/// order with the same first-wins tie-break the serial scan applies.
+/// serial). Blocks are split into contiguous chunks of `chunk_columns`
+/// candidate-`t1` columns (`0` sizes chunks off the worker pool) for load
+/// balance. Results are bit-identical to the serial sweep for any thread
+/// count and chunk size: chunk maxima are merged in deterministic
+/// ascending-`t1` order with the same first-wins tie-break the serial
+/// scan applies.
+///
+/// Reports into `probe`: an `analyze.sweep` span around the whole step, a
+/// `sweep.worker` span per worker thread, a `sweep.chunk` span (labeled
+/// with the partition index) per chunk job, and the `sweep.blocks` /
+/// `sweep.jobs` / `sweep.chunks` / `sweep.pairs_offered` /
+/// `sweep.events_processed` / `sweep.chunk_events` counters.
+/// Instrumentation is observational only — bounds, witnesses, and
+/// tie-breaks are bit-identical to the unprobed sweep (enforced by
+/// `tests/sweep_equivalence.rs`).
+///
+/// Polls `ctl` once per `t1` column in every worker. Workers that observe
+/// a tripped token stop at their next column boundary; the first error in
+/// job order is returned and all partial maxima are discarded.
 ///
 /// # Errors
 ///
 /// [`AnalysisError::BoundOverflow`] if some bound's ceiling exceeds
-/// `u32::MAX` (unreachable on feasible timing).
-pub fn sweep_partitions(
-    graph: &TaskGraph,
-    timing: &TimingAnalysis,
-    partitions: &[ResourcePartition],
-    policy: CandidatePolicy,
-    strategy: SweepStrategy,
-    parallelism: usize,
-) -> Result<Vec<ResourceBound>, AnalysisError> {
-    sweep_partitions_probed(
-        graph,
-        timing,
-        partitions,
-        policy,
-        strategy,
-        parallelism,
-        &NULL_PROBE,
-    )
-}
-
-/// [`sweep_partitions`] reporting into `probe`: an `analyze.sweep` span
-/// around the whole step, a `sweep.worker` span per worker thread, a
-/// `sweep.chunk` span (labeled with the partition index) per chunk job,
-/// and the `sweep.blocks` / `sweep.jobs` / `sweep.chunks` /
-/// `sweep.pairs_offered` / `sweep.events_processed` /
-/// `sweep.chunk_events` counters. Instrumentation is observational only —
-/// bounds, witnesses, and tie-breaks are bit-identical to the unprobed
-/// sweep (enforced by `tests/sweep_equivalence.rs`).
-///
-/// # Errors
-///
-/// Same as [`sweep_partitions`].
-#[allow(clippy::too_many_arguments)]
-pub fn sweep_partitions_probed(
-    graph: &TaskGraph,
-    timing: &TimingAnalysis,
-    partitions: &[ResourcePartition],
-    policy: CandidatePolicy,
-    strategy: SweepStrategy,
-    parallelism: usize,
-    probe: &dyn Probe,
-) -> Result<Vec<ResourceBound>, AnalysisError> {
-    sweep_partitions_ctl(
-        graph,
-        timing,
-        partitions,
-        policy,
-        strategy,
-        parallelism,
-        0,
-        probe,
-        &CancelToken::none(),
-    )
-}
-
-/// [`sweep_partitions_probed`] with an explicit chunk size
-/// (`chunk_columns`, `0` = auto) and polling `ctl` once per `t1` column
-/// in every worker. Workers that observe a tripped token stop at their
-/// next column boundary; the first error in job order is returned and
-/// all partial maxima are discarded.
-///
-/// # Errors
-///
-/// [`AnalysisError::BoundOverflow`] as in [`sweep_partitions`], or
+/// `u32::MAX` (unreachable on feasible timing), or
 /// [`AnalysisError::Deadline`] when `ctl` trips.
 #[allow(clippy::too_many_arguments)]
 pub fn sweep_partitions_ctl(
@@ -786,6 +738,32 @@ mod tests {
     use crate::overlap::overlap;
     use crate::partition::partition_all;
     use rtlb_graph::{Catalog, ExecutionMode, ResourceId, TaskGraphBuilder, TaskSpec};
+    use rtlb_obs::NULL_PROBE;
+
+    /// [`sweep_partitions_ctl`] with automatic chunking and a token that
+    /// never trips.
+    fn sweep(
+        g: &TaskGraph,
+        timing: &TimingAnalysis,
+        partitions: &[ResourcePartition],
+        policy: CandidatePolicy,
+        strategy: SweepStrategy,
+        threads: usize,
+        probe: &dyn Probe,
+    ) -> Vec<ResourceBound> {
+        sweep_partitions_ctl(
+            g,
+            timing,
+            partitions,
+            policy,
+            strategy,
+            threads,
+            0,
+            probe,
+            &CancelToken::none(),
+        )
+        .unwrap()
+    }
 
     /// The ramp decomposition must equal Equation 6.1/6.2 pointwise on
     /// every feasible small window, both modes, all t1 < t2.
@@ -917,17 +895,24 @@ mod tests {
         let timing = compute_timing(&g, &SystemModel::shared());
         let partitions = partition_all(&g, &timing);
         for policy in [CandidatePolicy::EstLct, CandidatePolicy::Extended] {
-            let naive = sweep_partitions(&g, &timing, &partitions, policy, SweepStrategy::Naive, 1)
-                .unwrap();
-            let inc = sweep_partitions(
+            let naive = sweep(
+                &g,
+                &timing,
+                &partitions,
+                policy,
+                SweepStrategy::Naive,
+                1,
+                &NULL_PROBE,
+            );
+            let inc = sweep(
                 &g,
                 &timing,
                 &partitions,
                 policy,
                 SweepStrategy::Incremental,
                 1,
-            )
-            .unwrap();
+                &NULL_PROBE,
+            );
             assert_eq!(naive, inc, "policy {policy:?}");
         }
     }
@@ -937,25 +922,25 @@ mod tests {
         let (g, _) = fixture();
         let timing = compute_timing(&g, &SystemModel::shared());
         let partitions = partition_all(&g, &timing);
-        let serial = sweep_partitions(
+        let serial = sweep(
             &g,
             &timing,
             &partitions,
             CandidatePolicy::Extended,
             SweepStrategy::Incremental,
             1,
-        )
-        .unwrap();
+            &NULL_PROBE,
+        );
         for threads in [0, 2, 3, 8] {
-            let par = sweep_partitions(
+            let par = sweep(
                 &g,
                 &timing,
                 &partitions,
                 CandidatePolicy::Extended,
                 SweepStrategy::Incremental,
                 threads,
-            )
-            .unwrap();
+                &NULL_PROBE,
+            );
             assert_eq!(serial, par, "threads = {threads}");
         }
     }
@@ -1012,20 +997,20 @@ mod tests {
         let (g, _) = fixture();
         let timing = compute_timing(&g, &SystemModel::shared());
         let partitions = partition_all(&g, &timing);
-        let plain = sweep_partitions(
+        let plain = sweep(
             &g,
             &timing,
             &partitions,
             CandidatePolicy::EstLct,
             SweepStrategy::Incremental,
             1,
-        )
-        .unwrap();
+            &NULL_PROBE,
+        );
 
         let mut pairs = Vec::new();
         for strategy in [SweepStrategy::Incremental, SweepStrategy::Naive] {
             let recorder = Recorder::new();
-            let probed = sweep_partitions_probed(
+            let probed = sweep(
                 &g,
                 &timing,
                 &partitions,
@@ -1033,8 +1018,7 @@ mod tests {
                 strategy,
                 1,
                 &recorder,
-            )
-            .unwrap();
+            );
             assert_eq!(plain, probed, "{strategy:?} must be bit-identical");
             let metrics = recorder.take_metrics();
             let offered: u64 = plain.iter().map(|b| b.intervals_examined).sum();
@@ -1070,17 +1054,17 @@ mod tests {
         let (g, _) = fixture();
         let timing = compute_timing(&g, &SystemModel::shared());
         let partitions = partition_all(&g, &timing);
-        let serial = sweep_partitions(
+        let serial = sweep(
             &g,
             &timing,
             &partitions,
             CandidatePolicy::Extended,
             SweepStrategy::Incremental,
             1,
-        )
-        .unwrap();
+            &NULL_PROBE,
+        );
         let recorder = Recorder::new();
-        let par = sweep_partitions_probed(
+        let par = sweep(
             &g,
             &timing,
             &partitions,
@@ -1088,8 +1072,7 @@ mod tests {
             SweepStrategy::Incremental,
             3,
             &recorder,
-        )
-        .unwrap();
+        );
         assert_eq!(serial, par);
         let metrics = recorder.take_metrics();
         let workers = metrics.span_count("sweep.worker");

@@ -22,9 +22,9 @@ use rtlb::batch::{run_batch_probed, write_atomic, BatchOptions, HeartbeatOptions
 use rtlb::cache::{resolve_bounds, NamedBounds, ResultCache};
 use rtlb::check::{check_document, check_shard_stream};
 use rtlb::core::{
-    analyze_with, analyze_with_probe, build_run_report, effective_threads, render_analysis,
-    render_bounds, render_dedicated_cost, render_shared_cost, AnalysisOptions, AnalysisSession,
-    CandidatePolicy, PropagationLevel, SweepStrategy, SystemModel,
+    analyze_ctl, build_run_report, effective_threads, render_analysis, render_bounds,
+    render_dedicated_cost, render_shared_cost, AnalysisOptions, AnalysisSession, CancelToken,
+    CandidatePolicy, PropagationLevel, SystemModel,
 };
 use rtlb::fmt::content_key;
 use rtlb::format::{parse, render};
@@ -87,8 +87,6 @@ exit codes (every subcommand):
   2  usage error: unknown command or flag, missing or invalid argument
 
 analyze flags:
-  --sweep=naive|incremental  Θ-sweep strategy (default: incremental; naive is
-                             the O(P²·N) differential-testing oracle)
   --jobs=N                   sweep worker threads; 0 = one per core
                              (default: 1, fully serial)
   --chunk=N                  candidate-t1 columns per sweep chunk; 0 sizes
@@ -98,10 +96,8 @@ analyze flags:
                              forced-overlap corners E_i+C_i and L_i−C_i)
   --no-partition             skip the Theorem 5 partitioning and sweep each
                              resource flat (ablation mode)
-  --propagation=LEVEL        window packing / filtering level: `paper`
-                             (sequential re-packing, the differential
-                             baseline), `timeline` (union-find Timeline
-                             packing, default; bit-identical bounds), or
+  --propagation=LEVEL        filtering level: `timeline` (the Eq. 6.3
+                             sweep's bounds as they are, default) or
                              `filtered` (adds capacity-conditional
                              detectable-precedence / edge-finding filtering
                              after the sweep; bounds only get tighter)
@@ -120,7 +116,7 @@ analyze flags:
                              status goes to stderr). Not combinable with
                              --metrics= or --trace-out=
 
-telemetry flags (accepted by analyze, sweep-scenarios, and batch):
+telemetry flags (accepted by analyze, sweep-scenarios, batch, and serve):
   --profile                  print a per-phase wall-time breakdown (EST/LCT
                              fixpoint, partitioning, sweep, propagate, cost
                              bounds) to stderr, aggregated from the metrics
@@ -132,16 +128,16 @@ telemetry flags (accepted by analyze, sweep-scenarios, and batch):
   --prom-out=FILE            write the same snapshot in Prometheus text
                              exposition format atomically to FILE
 
-sweep-scenarios flags (plus --sweep=, --jobs=, --chunk=, --extended,
---no-partition, --propagation=, and the telemetry flags):
+sweep-scenarios flags (plus --jobs=, --chunk=, --extended, --no-partition,
+--propagation=, and the telemetry flags):
   --check                    re-analyze every scenario from scratch and fail
                              unless the incremental bounds, witnesses, and
                              interval counts are bit-identical (CI oracle)
   --json                     print only a versioned rtlb-scenarios-v1 JSON
                              report on stdout
 
-batch flags (plus --sweep=, --extended, --no-partition, --propagation=, and
-the telemetry flags):
+batch flags (plus --extended, --no-partition, --propagation=, and the
+telemetry flags):
   --jobs=N                   batch worker threads, one instance per job;
                              0 = one per core (default: 0). With more than
                              one worker each instance sweeps serially
@@ -186,7 +182,7 @@ merge-shards flags:
                              instead of the text table
   --out=FILE                 write the aggregate atomically to FILE
 
-serve flags (plus --sweep=, --jobs=, --chunk=, --extended, --no-partition,
+serve flags (plus --jobs=, --chunk=, --extended, --no-partition,
 --propagation=, and the telemetry flags; telemetry exports are written when
 the daemon stops):
   --addr=HOST:PORT           bind address (default: 127.0.0.1:0; port 0
@@ -330,7 +326,7 @@ enum MetricsMode {
 }
 
 /// The registry-backed telemetry flags shared by `analyze`,
-/// `sweep-scenarios`, and `batch`.
+/// `sweep-scenarios`, `batch`, and `serve`.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 struct TelemetryArgs {
     /// Print the per-phase wall-time breakdown to stderr.
@@ -465,11 +461,35 @@ fn cmd_check_report(args: &[String]) -> Result<ExitCode, Failure> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// Parses a `--propagation=` value shared by every analyzing subcommand.
-fn parse_propagation(value: &str) -> Result<PropagationLevel, String> {
-    PropagationLevel::parse(value).ok_or_else(|| {
-        format!("unknown propagation level `{value}` (expected paper, timeline, or filtered)")
-    })
+/// Parses a `--jobs=` worker count.
+fn parse_jobs(jobs: &str) -> Result<usize, String> {
+    jobs.parse()
+        .map_err(|_| format!("invalid job count `{jobs}`"))
+}
+
+/// Tries `flag` against the analysis flags shared by `analyze`, `serve`,
+/// `sweep-scenarios`, and `batch`; `Ok(true)` means it was consumed.
+/// `batch` reads `--jobs=` as its instance fan-out and takes no
+/// `--chunk=`, so it handles both before calling this.
+fn analysis_flag(options: &mut AnalysisOptions, flag: &str) -> Result<bool, String> {
+    if let Some(jobs) = flag.strip_prefix("--jobs=") {
+        options.parallelism = parse_jobs(jobs)?;
+    } else if let Some(columns) = flag.strip_prefix("--chunk=") {
+        options.chunk_columns = columns
+            .parse()
+            .map_err(|_| format!("invalid chunk size `{columns}`"))?;
+    } else if flag == "--extended" {
+        options.candidates = CandidatePolicy::Extended;
+    } else if flag == "--no-partition" {
+        options.partitioning = false;
+    } else if let Some(level) = flag.strip_prefix("--propagation=") {
+        options.propagation = PropagationLevel::parse(level).ok_or_else(|| {
+            format!("unknown propagation level `{level}` (expected timeline or filtered)")
+        })?;
+    } else {
+        return Ok(false);
+    }
+    Ok(true)
 }
 
 /// Everything `rtlb analyze` accepts after the file argument.
@@ -486,26 +506,8 @@ struct AnalyzeArgs {
 fn analyze_options(flags: &[String]) -> Result<AnalyzeArgs, String> {
     let mut args = AnalyzeArgs::default();
     for flag in flags {
-        if let Some(strategy) = flag.strip_prefix("--sweep=") {
-            args.options.sweep = match strategy {
-                "naive" => SweepStrategy::Naive,
-                "incremental" => SweepStrategy::Incremental,
-                other => return Err(format!("unknown sweep strategy `{other}`")),
-            };
-        } else if let Some(jobs) = flag.strip_prefix("--jobs=") {
-            args.options.parallelism = jobs
-                .parse()
-                .map_err(|_| format!("invalid job count `{jobs}`"))?;
-        } else if let Some(columns) = flag.strip_prefix("--chunk=") {
-            args.options.chunk_columns = columns
-                .parse()
-                .map_err(|_| format!("invalid chunk size `{columns}`"))?;
-        } else if flag == "--extended" {
-            args.options.candidates = CandidatePolicy::Extended;
-        } else if flag == "--no-partition" {
-            args.options.partitioning = false;
-        } else if let Some(level) = flag.strip_prefix("--propagation=") {
-            args.options.propagation = parse_propagation(level)?;
+        if analysis_flag(&mut args.options, flag)? {
+            // consumed by the shared analysis flags
         } else if let Some(mode) = flag.strip_prefix("--metrics=") {
             args.metrics = match mode {
                 "off" => MetricsMode::Off,
@@ -574,9 +576,14 @@ fn cmd_analyze_cached(
         }
         None => {
             probe.add("cache.miss", 1);
-            let analysis =
-                analyze_with_probe(&parsed.graph, &SystemModel::shared(), options, probe)
-                    .map_err(|e| e.to_string())?;
+            let analysis = analyze_ctl(
+                &parsed.graph,
+                &SystemModel::shared(),
+                options,
+                probe,
+                &CancelToken::none(),
+            )
+            .map_err(|e| e.to_string())?;
             let named: NamedBounds = analysis
                 .bounds()
                 .iter()
@@ -613,8 +620,14 @@ fn cmd_analyze(parsed: &rtlb::format::ParsedSystem, args: &[String]) -> Result<(
     let probe: &dyn Probe = if telemetry.enabled() { &tee } else { &recorder };
     let quiet = metrics == MetricsMode::Json;
 
-    let analysis = analyze_with_probe(&parsed.graph, &SystemModel::shared(), options, probe)
-        .map_err(|e| e.to_string())?;
+    let analysis = analyze_ctl(
+        &parsed.graph,
+        &SystemModel::shared(),
+        options,
+        probe,
+        &CancelToken::none(),
+    )
+    .map_err(|e| e.to_string())?;
     if !quiet {
         print!("{}", render_analysis(&parsed.graph, &analysis));
     }
@@ -714,26 +727,8 @@ fn serve_options(flags: &[String]) -> Result<ServeArgs, String> {
                 return Err("--cache needs a directory path".to_owned());
             }
             args.config.cache_dir = Some(dir.into());
-        } else if let Some(strategy) = flag.strip_prefix("--sweep=") {
-            args.config.options.sweep = match strategy {
-                "naive" => SweepStrategy::Naive,
-                "incremental" => SweepStrategy::Incremental,
-                other => return Err(format!("unknown sweep strategy `{other}`")),
-            };
-        } else if let Some(jobs) = flag.strip_prefix("--jobs=") {
-            args.config.options.parallelism = jobs
-                .parse()
-                .map_err(|_| format!("invalid job count `{jobs}`"))?;
-        } else if let Some(columns) = flag.strip_prefix("--chunk=") {
-            args.config.options.chunk_columns = columns
-                .parse()
-                .map_err(|_| format!("invalid chunk size `{columns}`"))?;
-        } else if flag == "--extended" {
-            args.config.options.candidates = CandidatePolicy::Extended;
-        } else if flag == "--no-partition" {
-            args.config.options.partitioning = false;
-        } else if let Some(level) = flag.strip_prefix("--propagation=") {
-            args.config.options.propagation = parse_propagation(level)?;
+        } else if analysis_flag(&mut args.config.options, flag)? {
+            // consumed by the shared analysis flags
         } else if telemetry_flag(&mut args.telemetry, flag)? {
             // consumed by the shared telemetry flags
         } else {
@@ -904,26 +899,8 @@ struct ScenarioArgs {
 fn scenario_options(flags: &[String]) -> Result<ScenarioArgs, String> {
     let mut args = ScenarioArgs::default();
     for flag in flags {
-        if let Some(strategy) = flag.strip_prefix("--sweep=") {
-            args.options.sweep = match strategy {
-                "naive" => SweepStrategy::Naive,
-                "incremental" => SweepStrategy::Incremental,
-                other => return Err(format!("unknown sweep strategy `{other}`")),
-            };
-        } else if let Some(jobs) = flag.strip_prefix("--jobs=") {
-            args.options.parallelism = jobs
-                .parse()
-                .map_err(|_| format!("invalid job count `{jobs}`"))?;
-        } else if let Some(columns) = flag.strip_prefix("--chunk=") {
-            args.options.chunk_columns = columns
-                .parse()
-                .map_err(|_| format!("invalid chunk size `{columns}`"))?;
-        } else if flag == "--extended" {
-            args.options.candidates = CandidatePolicy::Extended;
-        } else if flag == "--no-partition" {
-            args.options.partitioning = false;
-        } else if let Some(level) = flag.strip_prefix("--propagation=") {
-            args.options.propagation = parse_propagation(level)?;
+        if analysis_flag(&mut args.options, flag)? {
+            // consumed by the shared analysis flags
         } else if flag == "--check" {
             args.check = true;
         } else if flag == "--json" {
@@ -982,14 +959,20 @@ fn cmd_sweep_scenarios(args: &[String]) -> Result<ExitCode, Failure> {
         } else {
             &recorder
         };
-        let outcome = session.apply_probed(&deltas, probe);
+        let outcome = session.apply_ctl(&deltas, probe, &CancelToken::none());
         let metrics = recorder.take_metrics();
         let micros = metrics.total_micros("session.apply");
         match outcome {
             Ok(stats) => {
                 if opts.check {
-                    let scratch = analyze_with(session.graph(), &model, opts.options)
-                        .map_err(|e| format!("scenario `{}`: oracle failed: {e}", scenario.name))?;
+                    let scratch = analyze_ctl(
+                        session.graph(),
+                        &model,
+                        opts.options,
+                        &NULL_PROBE,
+                        &CancelToken::none(),
+                    )
+                    .map_err(|e| format!("scenario `{}`: oracle failed: {e}", scenario.name))?;
                     if scratch.bounds() != session.bounds() || scratch.timing() != session.timing()
                     {
                         return Err(Failure::Run(format!(
@@ -1050,7 +1033,13 @@ fn cmd_sweep_scenarios(args: &[String]) -> Result<ExitCode, Failure> {
                 // fatal: the session keeps the dirt and the next apply
                 // recovers.
                 if opts.check {
-                    let scratch = analyze_with(session.graph(), &model, opts.options);
+                    let scratch = analyze_ctl(
+                        session.graph(),
+                        &model,
+                        opts.options,
+                        &NULL_PROBE,
+                        &CancelToken::none(),
+                    );
                     if scratch.is_ok() {
                         return Err(Failure::Run(format!(
                             "scenario `{}`: session rejected ({e}) what the \
@@ -1107,22 +1096,12 @@ struct BatchArgs {
 fn batch_options(flags: &[String]) -> Result<BatchArgs, String> {
     let mut args = BatchArgs::default();
     for flag in flags {
-        if let Some(strategy) = flag.strip_prefix("--sweep=") {
-            args.options.analysis.sweep = match strategy {
-                "naive" => SweepStrategy::Naive,
-                "incremental" => SweepStrategy::Incremental,
-                other => return Err(format!("unknown sweep strategy `{other}`")),
-            };
-        } else if let Some(jobs) = flag.strip_prefix("--jobs=") {
-            args.options.jobs = jobs
-                .parse()
-                .map_err(|_| format!("invalid job count `{jobs}`"))?;
-        } else if flag == "--extended" {
-            args.options.analysis.candidates = CandidatePolicy::Extended;
-        } else if flag == "--no-partition" {
-            args.options.analysis.partitioning = false;
-        } else if let Some(level) = flag.strip_prefix("--propagation=") {
-            args.options.analysis.propagation = parse_propagation(level)?;
+        if let Some(jobs) = flag.strip_prefix("--jobs=") {
+            args.options.jobs = parse_jobs(jobs)?;
+        } else if !flag.starts_with("--chunk=") && analysis_flag(&mut args.options.analysis, flag)?
+        {
+            // consumed by the shared analysis flags; `--chunk=` falls
+            // through to the unknown-flag error
         } else if let Some(ms) = flag.strip_prefix("--timeout-ms=") {
             args.options.timeout_ms =
                 Some(ms.parse().map_err(|_| format!("invalid timeout `{ms}`"))?);
@@ -1379,7 +1358,6 @@ mod tests {
     #[test]
     fn all_flags_parse_together() {
         let args = analyze_options(&flags(&[
-            "--sweep=naive",
             "--jobs=4",
             "--chunk=32",
             "--extended",
@@ -1391,7 +1369,6 @@ mod tests {
             "--prom-out=m.prom",
         ]))
         .unwrap();
-        assert_eq!(args.options.sweep, SweepStrategy::Naive);
         assert_eq!(args.options.parallelism, 4);
         assert_eq!(args.options.chunk_columns, 32);
         assert_eq!(args.options.candidates, CandidatePolicy::Extended);
@@ -1412,9 +1389,15 @@ mod tests {
         assert!(err.contains("--metrics-out"), "{err}");
         let err = scenario_options(&flags(&["--prom-out="])).unwrap_err();
         assert!(err.contains("--prom-out"), "{err}");
-        // The shared flags parse identically on all three subcommands.
+        // The shared flags parse identically on all four subcommands.
         assert!(
             scenario_options(&flags(&["--profile"]))
+                .unwrap()
+                .telemetry
+                .profile
+        );
+        assert!(
+            serve_options(&flags(&["--profile"]))
                 .unwrap()
                 .telemetry
                 .profile
@@ -1476,51 +1459,94 @@ mod tests {
     }
 
     #[test]
-    fn bad_sweep_strategy_is_rejected() {
-        let err = analyze_options(&flags(&["--sweep=quadratic"])).unwrap_err();
-        assert!(err.contains("unknown sweep strategy"), "{err}");
-    }
+    fn analysis_flags_parse_alike_on_every_subcommand() {
+        // One parser per subcommand, reduced to what the shared analysis
+        // flags set: the options and the `--jobs=` count (`batch` reads
+        // it as its instance fan-out, the others as sweep workers).
+        type Parser = fn(&[String]) -> Result<(AnalysisOptions, usize), String>;
+        let parsers: [(&str, Parser); 4] = [
+            ("analyze", |f| {
+                analyze_options(f).map(|a| (a.options, a.options.parallelism))
+            }),
+            ("serve", |f| {
+                serve_options(f).map(|a| (a.config.options, a.config.options.parallelism))
+            }),
+            ("sweep-scenarios", |f| {
+                scenario_options(f).map(|a| (a.options, a.options.parallelism))
+            }),
+            ("batch", |f| {
+                batch_options(f).map(|a| (a.options.analysis, a.options.jobs))
+            }),
+        ];
+        let default = AnalysisOptions::default();
+        assert_eq!(default.propagation, PropagationLevel::Timeline);
+        let cases: [(&[&str], AnalysisOptions); 5] = [
+            (
+                &["--extended"],
+                AnalysisOptions {
+                    candidates: CandidatePolicy::Extended,
+                    ..default
+                },
+            ),
+            (
+                &["--no-partition"],
+                AnalysisOptions {
+                    partitioning: false,
+                    ..default
+                },
+            ),
+            (&["--propagation=timeline"], default),
+            (
+                &["--propagation=filtered"],
+                AnalysisOptions {
+                    propagation: PropagationLevel::Filtered,
+                    ..default
+                },
+            ),
+            (
+                &["--extended", "--no-partition", "--propagation=filtered"],
+                AnalysisOptions {
+                    partitioning: false,
+                    candidates: CandidatePolicy::Extended,
+                    propagation: PropagationLevel::Filtered,
+                    ..default
+                },
+            ),
+        ];
+        for (name, parse) in parsers {
+            assert_eq!(parse(&[]).unwrap().0, default, "{name}");
+            for (raw, expected) in &cases {
+                assert_eq!(parse(&flags(raw)).unwrap().0, *expected, "{name} {raw:?}");
+            }
 
-    #[test]
-    fn propagation_levels_parse_on_every_subcommand() {
-        for (raw, level) in [
-            ("--propagation=paper", PropagationLevel::Paper),
-            ("--propagation=timeline", PropagationLevel::Timeline),
-            ("--propagation=filtered", PropagationLevel::Filtered),
-        ] {
+            // The paper packing and the naive sweep are test oracles,
+            // not user options: every subcommand gives the same usage
+            // error for them, and `--help` does not offer them.
             assert_eq!(
-                analyze_options(&flags(&[raw])).unwrap().options.propagation,
-                level
+                parse(&flags(&["--propagation=paper"])).unwrap_err(),
+                "unknown propagation level `paper` (expected timeline or filtered)",
+                "{name}"
             );
             assert_eq!(
-                scenario_options(&flags(&[raw]))
-                    .unwrap()
-                    .options
-                    .propagation,
-                level
+                parse(&flags(&["--sweep=naive"])).unwrap_err(),
+                "unknown flag `--sweep=naive` (see `rtlb --help`)",
+                "{name}"
             );
-            assert_eq!(
-                batch_options(&flags(&[raw]))
-                    .unwrap()
-                    .options
-                    .analysis
-                    .propagation,
-                level
-            );
-            assert_eq!(
-                serve_options(&flags(&[raw]))
-                    .unwrap()
-                    .config
-                    .options
-                    .propagation,
-                level
-            );
+
+            let (options, jobs) = parse(&flags(&["--jobs=3"])).unwrap();
+            assert_eq!(jobs, 3, "{name}");
+            let chunked = parse(&flags(&["--chunk=4"]));
+            if name == "batch" {
+                assert_eq!(options, default, "batch --jobs= is instance fan-out");
+                let err = chunked.unwrap_err();
+                assert!(err.contains("unknown flag `--chunk=4`"), "{err}");
+            } else {
+                assert_eq!(options.parallelism, 3, "{name}");
+                assert_eq!(chunked.unwrap().0.chunk_columns, 4, "{name}");
+            }
         }
-        // The default level is the Timeline packing without filtering.
-        assert_eq!(
-            analyze_options(&[]).unwrap().options.propagation,
-            PropagationLevel::Timeline
-        );
+        assert!(!USAGE.contains("--sweep="));
+        assert!(!USAGE.contains("`paper`"));
     }
 
     #[test]
@@ -1540,7 +1566,6 @@ mod tests {
     #[test]
     fn usage_mentions_every_analyze_flag() {
         for flag in [
-            "--sweep=",
             "--jobs=",
             "--chunk=",
             "--extended",
@@ -1562,21 +1587,8 @@ mod tests {
 
     #[test]
     fn scenario_flags_parse_together() {
-        let args = scenario_options(&flags(&[
-            "--sweep=naive",
-            "--jobs=2",
-            "--chunk=5",
-            "--extended",
-            "--no-partition",
-            "--check",
-            "--json",
-        ]))
-        .unwrap();
-        assert_eq!(args.options.sweep, SweepStrategy::Naive);
-        assert_eq!(args.options.parallelism, 2);
-        assert_eq!(args.options.chunk_columns, 5);
+        let args = scenario_options(&flags(&["--extended", "--check", "--json"])).unwrap();
         assert_eq!(args.options.candidates, CandidatePolicy::Extended);
-        assert!(!args.options.partitioning);
         assert!(args.check);
         assert!(args.json);
     }
@@ -1584,10 +1596,8 @@ mod tests {
     #[test]
     fn batch_flags_parse_together() {
         let args = batch_options(&flags(&[
-            "--sweep=naive",
             "--jobs=8",
             "--extended",
-            "--no-partition",
             "--timeout-ms=250",
             "--tolerate=infeasible,timeout",
             "--json",
@@ -1601,9 +1611,7 @@ mod tests {
             args.options.cache.as_deref(),
             Some(std::path::Path::new(".cache"))
         );
-        assert_eq!(args.options.analysis.sweep, SweepStrategy::Naive);
         assert_eq!(args.options.analysis.candidates, CandidatePolicy::Extended);
-        assert!(!args.options.analysis.partitioning);
         assert_eq!(args.options.jobs, 8);
         assert_eq!(args.options.timeout_ms, Some(250));
         assert_eq!(
@@ -1792,11 +1800,7 @@ mod tests {
             "--max-sessions=3",
             "--max-inflight=9",
             "--deadline-ms=250",
-            "--sweep=naive",
-            "--jobs=2",
-            "--chunk=7",
             "--extended",
-            "--no-partition",
             "--metrics-out=m.json",
         ]))
         .unwrap();
@@ -1804,11 +1808,7 @@ mod tests {
         assert_eq!(args.config.max_sessions, 3);
         assert_eq!(args.config.max_inflight, 9);
         assert_eq!(args.config.default_deadline_ms, Some(250));
-        assert_eq!(args.config.options.sweep, SweepStrategy::Naive);
-        assert_eq!(args.config.options.parallelism, 2);
-        assert_eq!(args.config.options.chunk_columns, 7);
         assert_eq!(args.config.options.candidates, CandidatePolicy::Extended);
-        assert!(!args.config.options.partitioning);
         assert_eq!(args.telemetry.metrics_out.as_deref(), Some("m.json"));
     }
 

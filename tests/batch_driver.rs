@@ -10,8 +10,8 @@
 use std::path::Path;
 
 use rtlb::batch::{run_batch, BatchOptions, BatchReport, OutcomeKind};
-use rtlb::core::{analyze_with, AnalysisOptions, SystemModel};
-use rtlb::obs::Json;
+use rtlb::core::{analyze_ctl, AnalysisOptions, CancelToken, SystemModel};
+use rtlb::obs::{Json, NULL_PROBE};
 
 const MIXED_DIR: &str = "examples/batch";
 
@@ -76,10 +76,12 @@ fn healthy_instances_match_analyze_bit_for_bit() {
         for instance in healthy {
             let text = std::fs::read_to_string(&instance.path).unwrap();
             let parsed = rtlb::format::parse(&text).unwrap();
-            let scratch = analyze_with(
+            let scratch = analyze_ctl(
                 &parsed.graph,
                 &SystemModel::shared(),
                 AnalysisOptions::default(),
+                &NULL_PROBE,
+                &CancelToken::none(),
             )
             .unwrap();
             let expected: Vec<(String, _)> = scratch

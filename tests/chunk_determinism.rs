@@ -13,7 +13,7 @@
 //! merged in ascending-`t1` order regardless of completion order.
 
 use rtlb::core::{
-    analyze_with_probe, build_run_report, AnalysisOptions, SweepStrategy, SystemModel,
+    analyze_ctl, build_run_report, AnalysisOptions, CancelToken, SweepStrategy, SystemModel,
 };
 use rtlb::obs::Recorder;
 use rtlb::workloads::independent_tasks;
@@ -38,8 +38,14 @@ fn chunked_report(parallelism: usize, chunk_columns: usize) -> String {
         ..AnalysisOptions::default()
     };
     let recorder = Recorder::new();
-    let analysis = analyze_with_probe(&graph, &SystemModel::shared(), options, &recorder)
-        .expect("bench instance analyzes");
+    let analysis = analyze_ctl(
+        &graph,
+        &SystemModel::shared(),
+        options,
+        &recorder,
+        &CancelToken::none(),
+    )
+    .expect("bench instance analyzes");
     let metrics = recorder.take_metrics();
     let mut report = build_run_report("independent_400", &graph, options, &analysis, &metrics);
     report.normalize_schedule();

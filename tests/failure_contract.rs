@@ -10,8 +10,8 @@
 use proptest::prelude::*;
 
 use rtlb::core::{
-    analyze, analyze_ctl, analyze_with, compute_timing, partition_tasks, resource_bound,
-    resource_bound_sweep, resource_bound_unpartitioned, AnalysisError, AnalysisOptions,
+    analyze, analyze_ctl, compute_timing, partition_tasks, resource_bound,
+    resource_bound_unpartitioned_ctl, sweep_partitions_ctl, AnalysisError, AnalysisOptions,
     AnalysisSession, CancelToken, CandidatePolicy, Delta, SweepStrategy, SystemModel,
 };
 use rtlb::graph::{Catalog, Dur, TaskGraph, TaskGraphBuilder, TaskId, TaskSpec, Time};
@@ -106,9 +106,9 @@ proptest! {
             ..AnalysisOptions::default()
         };
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            analyze_with(&graph, &SystemModel::shared(), options)
+            analyze_ctl(&graph, &SystemModel::shared(), options, &NULL_PROBE, &CancelToken::none())
         }));
-        prop_assert!(result.is_ok(), "analyze_with panicked");
+        prop_assert!(result.is_ok(), "analyze_ctl panicked");
     }
 }
 
@@ -136,12 +136,16 @@ fn ceiling_overflow_is_an_error_not_a_panic() {
 
     // The naive oracle computes Θ = 2^40 over a length-1 interval and
     // trips the converted ceiling overflow.
-    let err = resource_bound_sweep(
+    let err = sweep_partitions_ctl(
         &graph,
         &timing,
-        &partition,
+        std::slice::from_ref(&partition),
         CandidatePolicy::EstLct,
         SweepStrategy::Naive,
+        1,
+        0,
+        &NULL_PROBE,
+        &CancelToken::none(),
     )
     .unwrap_err();
     assert!(
@@ -149,7 +153,14 @@ fn ceiling_overflow_is_an_error_not_a_panic() {
         "expected BoundOverflow, got {err:?}"
     );
     // So does the unpartitioned oracle (always naive).
-    let err = resource_bound_unpartitioned(&graph, &timing, p).unwrap_err();
+    let err = resource_bound_unpartitioned_ctl(
+        &graph,
+        &timing,
+        p,
+        CandidatePolicy::EstLct,
+        &CancelToken::none(),
+    )
+    .unwrap_err();
     assert!(matches!(err, AnalysisError::BoundOverflow { .. }));
 
     // The default incremental strategy refuses the infeasible window
@@ -252,7 +263,14 @@ fn failed_apply_keeps_dirt_and_recovers() {
     // An empty follow-up apply drains the kept dirt and converges to the
     // from-scratch result on the edited graph.
     session.apply(&[]).unwrap();
-    let scratch = analyze_with(session.graph(), &model, AnalysisOptions::default()).unwrap();
+    let scratch = analyze_ctl(
+        session.graph(),
+        &model,
+        AnalysisOptions::default(),
+        &NULL_PROBE,
+        &CancelToken::none(),
+    )
+    .unwrap();
     assert_eq!(session.bounds(), scratch.bounds().to_vec());
     assert_ne!(session.bounds(), before, "the edit must move the bounds");
 }

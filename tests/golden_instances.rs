@@ -8,9 +8,10 @@
 //! algorithm change shifts a witness or interval count, re-derive the
 //! constants and say why in the commit.
 
-use rtlb::core::{analyze_with, Analysis, AnalysisOptions, SweepStrategy, SystemModel};
+use rtlb::core::{analyze_ctl, Analysis, AnalysisOptions, CancelToken, SweepStrategy, SystemModel};
 use rtlb::format::ParsedSystem;
 use rtlb::graph::Time;
+use rtlb::obs::NULL_PROBE;
 
 fn load(name: &str) -> ParsedSystem {
     let path = format!("{}/examples/instances/{name}", env!("CARGO_MANIFEST_DIR"));
@@ -19,13 +20,15 @@ fn load(name: &str) -> ParsedSystem {
 }
 
 fn analyze_strategy(parsed: &ParsedSystem, sweep: SweepStrategy) -> Analysis {
-    analyze_with(
+    analyze_ctl(
         &parsed.graph,
         &SystemModel::shared(),
         AnalysisOptions {
             sweep,
             ..AnalysisOptions::default()
         },
+        &NULL_PROBE,
+        &CancelToken::none(),
     )
     .unwrap()
 }

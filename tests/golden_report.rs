@@ -11,7 +11,7 @@
 //!
 //! and explain the drift in the commit message.
 
-use rtlb::core::{analyze_with_probe, build_run_report, AnalysisOptions, SystemModel};
+use rtlb::core::{analyze_ctl, build_run_report, AnalysisOptions, CancelToken, SystemModel};
 use rtlb::obs::{MetricsRegistry, MetricsSnapshot, Recorder, METRICS_SCHEMA, REPORT_SCHEMA};
 
 /// Builds the normalized report JSON for one shipped instance under
@@ -26,8 +26,14 @@ fn normalized_report(name: &str) -> String {
 
     let options = AnalysisOptions::default();
     let recorder = Recorder::new();
-    let analysis = analyze_with_probe(&parsed.graph, &SystemModel::shared(), options, &recorder)
-        .expect("shipped instances analyze");
+    let analysis = analyze_ctl(
+        &parsed.graph,
+        &SystemModel::shared(),
+        options,
+        &recorder,
+        &CancelToken::none(),
+    )
+    .expect("shipped instances analyze");
     let shared = parsed
         .shared_costs
         .as_ref()
@@ -104,8 +110,14 @@ fn normalized_metrics(name: &str) -> String {
 
     let options = AnalysisOptions::default();
     let registry = MetricsRegistry::new();
-    let analysis = analyze_with_probe(&parsed.graph, &SystemModel::shared(), options, &registry)
-        .expect("shipped instances analyze");
+    let analysis = analyze_ctl(
+        &parsed.graph,
+        &SystemModel::shared(),
+        options,
+        &registry,
+        &CancelToken::none(),
+    )
+    .expect("shipped instances analyze");
     if let Some(m) = parsed.shared_costs.as_ref() {
         analysis.shared_cost_probed(m, &registry).unwrap();
     }

@@ -2,10 +2,11 @@
 //!
 //! Three claims, each enforced on random small instances:
 //!
-//! 1. **Dominance** — `lb_filtered >= lb_timeline >= lb_paper` for every
-//!    resource (and in fact `timeline == paper` bit-identically: the
-//!    Timeline is a pure reimplementation of the paper's packing, and
-//!    filtering only ever *adds* refutations on top of the sweep).
+//! 1. **Dominance** — `lb_filtered >= lb_timeline` for every resource:
+//!    filtering only ever *adds* refutations on top of the sweep. (That
+//!    the Timeline packing is bit-identical to the paper's sequential
+//!    re-packing is `rtlb-core`'s `paper_packing_matches_timeline`
+//!    proptest.)
 //! 2. **Validity** — every level's bound, including the filtered one,
 //!    stays below or at the exact minimum computed by `rtlb-sched`'s
 //!    complete non-preemptive search. A filtered bound that overtook the
@@ -19,15 +20,27 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use rtlb::core::{analyze_with, AnalysisError, AnalysisOptions, PropagationLevel, SystemModel};
+use rtlb::core::{
+    analyze_ctl, Analysis, AnalysisError, AnalysisOptions, CancelToken, PropagationLevel,
+    SystemModel,
+};
 use rtlb::graph::{Catalog, Dur, TaskGraph, TaskGraphBuilder, TaskSpec, Time};
+use rtlb::obs::NULL_PROBE;
 use rtlb::sched::{find_schedule_exact, min_units_exact, Capacities, SearchBudget};
 
-fn options_at(level: PropagationLevel) -> AnalysisOptions {
-    AnalysisOptions {
+/// Analyzes `graph` on the shared model at one propagation level.
+fn analyze_at(graph: &TaskGraph, level: PropagationLevel) -> Result<Analysis, AnalysisError> {
+    let options = AnalysisOptions {
         propagation: level,
         ..AnalysisOptions::default()
-    }
+    };
+    analyze_ctl(
+        graph,
+        &SystemModel::shared(),
+        options,
+        &NULL_PROBE,
+        &CancelToken::none(),
+    )
 }
 
 /// A small random non-preemptive instance: up to 6 tasks, 2 processor
@@ -76,20 +89,14 @@ fn small_instance(seed: u64) -> TaskGraph {
 }
 
 proptest! {
-    /// `lb_filtered >= lb_timeline >= lb_paper` per resource, with
-    /// paper and timeline bit-identical in full (bounds, witnesses,
-    /// interval counts, windows).
+    /// `lb_filtered >= lb_timeline` per resource, on identical windows.
     #[test]
-    fn filtered_dominates_timeline_dominates_paper(seed in 0u64..200_000) {
+    fn filtered_dominates_timeline(seed in 0u64..200_000) {
         let graph = small_instance(seed);
-        let model = SystemModel::shared();
-        let paper = analyze_with(&graph, &model, options_at(PropagationLevel::Paper));
-        let timeline = analyze_with(&graph, &model, options_at(PropagationLevel::Timeline));
-        let filtered = analyze_with(&graph, &model, options_at(PropagationLevel::Filtered));
-        match (paper, timeline, filtered) {
-            (Ok(paper), Ok(timeline), Ok(filtered)) => {
-                prop_assert_eq!(paper.timing(), timeline.timing());
-                prop_assert_eq!(paper.bounds(), timeline.bounds());
+        let timeline = analyze_at(&graph, PropagationLevel::Timeline);
+        let filtered = analyze_at(&graph, PropagationLevel::Filtered);
+        match (timeline, filtered) {
+            (Ok(timeline), Ok(filtered)) => {
                 prop_assert_eq!(timeline.timing(), filtered.timing());
                 for (t, f) in timeline.bounds().iter().zip(filtered.bounds()) {
                     prop_assert_eq!(t.resource, f.resource);
@@ -100,17 +107,16 @@ proptest! {
                     );
                 }
             }
-            // All three levels share the validation and timing stages, so
-            // they must fail identically or not at all.
-            (Err(a), Err(b), Err(c)) => {
+            // Both levels share the validation and timing stages, so they
+            // must fail identically or not at all.
+            (Err(a), Err(b)) => {
                 prop_assert_eq!(&a, &b);
-                prop_assert_eq!(&b, &c);
             }
-            (p, t, f) => {
+            (t, f) => {
                 prop_assert!(
                     false,
-                    "levels diverged in fallibility: paper={} timeline={} filtered={}",
-                    p.is_ok(), t.is_ok(), f.is_ok()
+                    "levels diverged in fallibility: timeline={} filtered={}",
+                    t.is_ok(), f.is_ok()
                 );
             }
         }
@@ -123,17 +129,13 @@ proptest! {
 #[test]
 fn all_levels_valid_against_exact_oracle() {
     let budget = SearchBudget::default();
-    let levels = [
-        PropagationLevel::Paper,
-        PropagationLevel::Timeline,
-        PropagationLevel::Filtered,
-    ];
+    let levels = [PropagationLevel::Timeline, PropagationLevel::Filtered];
     let mut checked = 0u32;
     for seed in 0..60u64 {
         let graph = small_instance(seed);
         let generous = Capacities::uniform(&graph, graph.task_count() as u32);
         for level in levels {
-            let analysis = match analyze_with(&graph, &SystemModel::shared(), options_at(level)) {
+            let analysis = match analyze_at(&graph, level) {
                 Ok(a) => a,
                 Err(AnalysisError::Infeasible { .. }) => continue,
                 Err(e) => panic!("seed {seed} level {}: {e}", level.label()),
@@ -209,10 +211,9 @@ fn filtered_strictly_beats_sweep_on_cascade_and_matches_exact() {
     )
     .unwrap();
     let graph = b.build().unwrap();
-    let model = SystemModel::shared();
 
-    let timeline = analyze_with(&graph, &model, options_at(PropagationLevel::Timeline)).unwrap();
-    let filtered = analyze_with(&graph, &model, options_at(PropagationLevel::Filtered)).unwrap();
+    let timeline = analyze_at(&graph, PropagationLevel::Timeline).unwrap();
+    let filtered = analyze_at(&graph, PropagationLevel::Filtered).unwrap();
     assert_eq!(
         timeline.units_required(r),
         1,

@@ -3,7 +3,7 @@
 //!
 //! After every applied delta batch, the session's windows, merge
 //! selections, partitions, bounds, witnesses, and interval counts must
-//! be **bit-identical** to [`analyze_with`] re-run on the edited graph —
+//! be **bit-identical** to [`analyze_ctl`] re-run on the edited graph —
 //! the session is an optimization, never an approximation. When an edit
 //! makes the instance infeasible, both sides must report the same error,
 //! and the session must recover once a later batch restores feasibility.
@@ -17,12 +17,13 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 use rtlb::core::{
-    analyze_with, AnalysisError, AnalysisOptions, AnalysisSession, CandidatePolicy, Delta,
-    PropagationLevel, SystemModel,
+    analyze_ctl, Analysis, AnalysisError, AnalysisOptions, AnalysisSession, CancelToken,
+    CandidatePolicy, Delta, PropagationLevel, SystemModel,
 };
 use rtlb::graph::{
     Catalog, Dur, ExecutionMode, ResourceId, TaskGraph, TaskGraphBuilder, TaskId, TaskSpec, Time,
 };
+use rtlb::obs::NULL_PROBE;
 use rtlb::workloads::{independent_tasks, layered, LayeredConfig};
 
 /// Draws one random, always-valid delta against the session's current
@@ -82,6 +83,18 @@ fn random_delta(rng: &mut StdRng, graph: &TaskGraph) -> Delta {
     }
 }
 
+/// The oracle: a from-scratch analysis of the session's current graph
+/// under its model and options.
+fn from_scratch(session: &AnalysisSession) -> Result<Analysis, AnalysisError> {
+    analyze_ctl(
+        session.graph(),
+        session.model(),
+        session.options(),
+        &NULL_PROBE,
+        &CancelToken::none(),
+    )
+}
+
 /// Applies `batches` random delta batches to one session, comparing
 /// every intermediate and final result against a from-scratch analysis
 /// of the edited graph after each batch.
@@ -91,8 +104,7 @@ fn assert_session_matches_scratch(
     seed: u64,
     batches: usize,
 ) -> Result<(), TestCaseError> {
-    let model = SystemModel::shared();
-    let Ok(mut session) = AnalysisSession::new(graph, model.clone(), options) else {
+    let Ok(mut session) = AnalysisSession::new(graph, SystemModel::shared(), options) else {
         // The base instance is infeasible; nothing to sweep.
         return Ok(());
     };
@@ -103,8 +115,7 @@ fn assert_session_matches_scratch(
             .collect();
         match session.apply(&deltas) {
             Ok(_) => {
-                let scratch = analyze_with(session.graph(), &model, options)
-                    .expect("session succeeded, scratch must too");
+                let scratch = from_scratch(&session).expect("session succeeded, scratch must too");
                 let snapshot = session.to_analysis();
                 prop_assert!(!session.has_pending_edits());
                 prop_assert_eq!(scratch.timing(), snapshot.timing());
@@ -112,8 +123,7 @@ fn assert_session_matches_scratch(
                 prop_assert_eq!(scratch.bounds(), snapshot.bounds());
             }
             Err(e) => {
-                let scratch = analyze_with(session.graph(), &model, options)
-                    .expect_err("session failed, scratch must too");
+                let scratch = from_scratch(&session).expect_err("session failed, scratch must too");
                 prop_assert_eq!(e, scratch);
                 prop_assert!(session.has_pending_edits());
             }
@@ -154,7 +164,7 @@ proptest! {
     }
 
     /// Every options corner: extended candidates, flat (unpartitioned)
-    /// sweeps, parallel fan-out, explicit chunk sizes, and all three
+    /// sweeps, parallel fan-out, explicit chunk sizes, and both
     /// propagation levels must all stay bit-identical.
     #[test]
     fn session_matches_scratch_under_all_options(
@@ -164,7 +174,7 @@ proptest! {
         extended in 0u32..2,
         threads in 0usize..5,
         chunk in 0usize..4,
-        propagation in 0usize..3,
+        propagation in 0usize..2,
     ) {
         let graph = independent_tasks(count, 4, seed);
         let options = AnalysisOptions {
@@ -176,11 +186,7 @@ proptest! {
             },
             parallelism: threads,
             chunk_columns: [0, 1, 3, 16][chunk],
-            propagation: [
-                PropagationLevel::Paper,
-                PropagationLevel::Timeline,
-                PropagationLevel::Filtered,
-            ][propagation],
+            propagation: [PropagationLevel::Timeline, PropagationLevel::Filtered][propagation],
             ..AnalysisOptions::default()
         };
         assert_session_matches_scratch(graph, options, seed ^ 0xca5e, 5)?;
@@ -244,19 +250,13 @@ fn filtered_session_tracks_refined_bound_through_edits() {
     .unwrap();
     let graph = b.build().unwrap();
 
-    let model = SystemModel::shared();
     let options = AnalysisOptions {
         propagation: PropagationLevel::Filtered,
         ..AnalysisOptions::default()
     };
-    let mut session = AnalysisSession::new(graph, model.clone(), options).unwrap();
+    let mut session = AnalysisSession::new(graph, SystemModel::shared(), options).unwrap();
     assert_eq!(session.units_required(r), 2, "cascade refutes one unit");
-    assert_eq!(
-        analyze_with(session.graph(), &model, options)
-            .unwrap()
-            .units_required(r),
-        2
-    );
+    assert_eq!(from_scratch(&session).unwrap().units_required(r), 2);
 
     // Loosen s so nothing is forced any more: the refined bound must drop
     // with the cascade, in the session and from scratch alike.
@@ -266,7 +266,7 @@ fn filtered_session_tracks_refined_bound_through_edits() {
             deadline: Time::new(40),
         }])
         .unwrap();
-    let scratch = analyze_with(session.graph(), &model, options).unwrap();
+    let scratch = from_scratch(&session).unwrap();
     assert_eq!(session.units_required(r), scratch.units_required(r));
     assert_eq!(session.units_required(r), 1);
 
@@ -277,7 +277,7 @@ fn filtered_session_tracks_refined_bound_through_edits() {
             deadline: Time::new(4),
         }])
         .unwrap();
-    let scratch = analyze_with(session.graph(), &model, options).unwrap();
+    let scratch = from_scratch(&session).unwrap();
     assert_eq!(session.bounds(), scratch.bounds().to_vec());
     assert_eq!(session.units_required(r), 2);
 }
@@ -365,9 +365,8 @@ fn isolated_edit_resweeps_only_its_block() {
     let graph = b.build().unwrap();
     let middle = TaskId::from_index(1);
 
-    let model = SystemModel::shared();
     let options = AnalysisOptions::default();
-    let mut session = AnalysisSession::new(graph, model.clone(), options).unwrap();
+    let mut session = AnalysisSession::new(graph, SystemModel::shared(), options).unwrap();
 
     let stats = session
         .apply(&[Delta::SetComputation {
@@ -382,7 +381,7 @@ fn isolated_edit_resweeps_only_its_block() {
     assert_eq!(stats.blocks_resweeped, 1);
     assert_eq!(stats.blocks_reused, 2);
 
-    let scratch = analyze_with(session.graph(), &model, options).unwrap();
+    let scratch = from_scratch(&session).unwrap();
     assert_eq!(scratch.bounds(), session.to_analysis().bounds());
 }
 
@@ -409,15 +408,14 @@ fn session_resweeps_identically_across_chunk_boundaries() {
     }
     let graph = b.build().unwrap();
 
-    let model = SystemModel::shared();
     let options = AnalysisOptions {
         parallelism: 2,
         chunk_columns: 2,
         ..AnalysisOptions::default()
     };
-    let mut session = AnalysisSession::new(graph, model.clone(), options).unwrap();
+    let mut session = AnalysisSession::new(graph, SystemModel::shared(), options).unwrap();
     let assert_matches_scratch = |session: &AnalysisSession| {
-        let scratch = analyze_with(session.graph(), &model, options).unwrap();
+        let scratch = from_scratch(session).unwrap();
         let snapshot = session.to_analysis();
         assert_eq!(scratch.timing(), snapshot.timing());
         assert_eq!(scratch.partitions(), snapshot.partitions());
@@ -504,9 +502,8 @@ fn invalid_delta_is_atomic() {
 #[test]
 fn session_recovers_after_infeasible_apply() {
     let graph = independent_tasks(8, 3, 3);
-    let model = SystemModel::shared();
     let options = AnalysisOptions::default();
-    let mut session = AnalysisSession::new(graph, model.clone(), options).unwrap();
+    let mut session = AnalysisSession::new(graph, SystemModel::shared(), options).unwrap();
     let t = TaskId::from_index(2);
     let rel = session.graph().task(t).release();
 
@@ -519,10 +516,7 @@ fn session_recovers_after_infeasible_apply() {
         .unwrap_err();
     assert!(matches!(err, AnalysisError::Infeasible { .. }), "{err}");
     assert!(session.has_pending_edits());
-    assert_eq!(
-        analyze_with(session.graph(), &model, options).unwrap_err(),
-        err
-    );
+    assert_eq!(from_scratch(&session).unwrap_err(), err);
 
     // Restore generous slack; the retained dirt is consumed.
     session
@@ -532,7 +526,7 @@ fn session_recovers_after_infeasible_apply() {
         }])
         .unwrap();
     assert!(!session.has_pending_edits());
-    let scratch = analyze_with(session.graph(), &model, options).unwrap();
+    let scratch = from_scratch(&session).unwrap();
     let snapshot = session.to_analysis();
     assert_eq!(scratch.timing(), snapshot.timing());
     assert_eq!(scratch.bounds(), snapshot.bounds());

@@ -10,12 +10,11 @@
 use proptest::prelude::*;
 
 use rtlb::core::{
-    analyze_with, analyze_with_probe, compute_timing, effective_threads, partition_all,
-    sweep_partitions, theta, AnalysisOptions, CandidatePolicy, ResourceBound, SweepStrategy,
-    SystemModel,
+    analyze_ctl, compute_timing, effective_threads, partition_all, sweep_partitions_ctl, theta,
+    AnalysisOptions, CancelToken, CandidatePolicy, ResourceBound, SweepStrategy, SystemModel,
 };
 use rtlb::graph::{Catalog, Dur, TaskGraph, TaskGraphBuilder, TaskSpec, Time};
-use rtlb::obs::{MetricsRegistry, Recorder};
+use rtlb::obs::{MetricsRegistry, Recorder, NULL_PROBE};
 use rtlb::workloads::{chain, fork_join, independent_tasks, layered, LayeredConfig};
 
 const POLICIES: [CandidatePolicy; 2] = [CandidatePolicy::EstLct, CandidatePolicy::Extended];
@@ -30,7 +29,7 @@ fn bounds_with(
     parallelism: usize,
     partitioning: bool,
 ) -> Option<Vec<ResourceBound>> {
-    analyze_with(
+    analyze_ctl(
         graph,
         &SystemModel::shared(),
         AnalysisOptions {
@@ -41,6 +40,8 @@ fn bounds_with(
             chunk_columns: 0,
             ..AnalysisOptions::default()
         },
+        &NULL_PROBE,
+        &CancelToken::none(),
     )
     .ok()
     .map(|a| a.bounds().to_vec())
@@ -55,7 +56,7 @@ fn bounds_chunked(
     parallelism: usize,
     chunk_columns: usize,
 ) -> Option<Vec<ResourceBound>> {
-    analyze_with(
+    analyze_ctl(
         graph,
         &SystemModel::shared(),
         AnalysisOptions {
@@ -66,6 +67,8 @@ fn bounds_chunked(
             chunk_columns,
             ..AnalysisOptions::default()
         },
+        &NULL_PROBE,
+        &CancelToken::none(),
     )
     .ok()
     .map(|a| a.bounds().to_vec())
@@ -146,13 +149,16 @@ fn assert_witnesses(graph: &TaskGraph) -> Result<(), TestCaseError> {
     let timing = compute_timing(graph, &model);
     let partitions = partition_all(graph, &timing);
     for policy in POLICIES {
-        let bounds = sweep_partitions(
+        let bounds = sweep_partitions_ctl(
             graph,
             &timing,
             &partitions,
             policy,
             SweepStrategy::Incremental,
             1,
+            0,
+            &NULL_PROBE,
+            &CancelToken::none(),
         )
         .unwrap();
         for b in &bounds {
@@ -285,14 +291,17 @@ proptest! {
         };
         let model = SystemModel::shared();
 
-        let plain = analyze_with(&graph, &model, options(SweepStrategy::Incremental)).ok();
+        let none = CancelToken::none();
+        let plain =
+            analyze_ctl(&graph, &model, options(SweepStrategy::Incremental), &NULL_PROBE, &none)
+                .ok();
         prop_assume!(plain.is_some());
         let plain = plain.unwrap();
 
         let mut pairs_offered = Vec::new();
         for sweep in [SweepStrategy::Incremental, SweepStrategy::Naive] {
             let recorder = Recorder::new();
-            let probed = analyze_with_probe(&graph, &model, options(sweep), &recorder).unwrap();
+            let probed = analyze_ctl(&graph, &model, options(sweep), &recorder, &none).unwrap();
             if sweep == SweepStrategy::Incremental {
                 prop_assert_eq!(plain.bounds(), probed.bounds());
                 prop_assert_eq!(plain.partitions(), probed.partitions());
@@ -312,7 +321,7 @@ proptest! {
         // with the recorder on the offered-pair count.
         let registry = MetricsRegistry::new();
         let probed =
-            analyze_with_probe(&graph, &model, options(SweepStrategy::Incremental), &registry)
+            analyze_ctl(&graph, &model, options(SweepStrategy::Incremental), &registry, &none)
                 .unwrap();
         prop_assert_eq!(plain.bounds(), probed.bounds());
         prop_assert_eq!(plain.partitions(), probed.partitions());

@@ -21,7 +21,7 @@ use rtlb::batch::{
     run_batch, run_batch_probed, BatchOptions, HeartbeatOptions, BATCH_SCHEMA, HEARTBEAT_SCHEMA,
     OUTCOME_KINDS,
 };
-use rtlb::core::{analyze_with_probe, AnalysisOptions, ResourceBound, SystemModel};
+use rtlb::core::{analyze_ctl, AnalysisOptions, CancelToken, ResourceBound, SystemModel};
 use rtlb::obs::{prometheus_text, MetricsRegistry, MetricsSnapshot, PhaseProfile, NULL_PROBE};
 use rtlb::workloads::independent_tasks;
 
@@ -245,7 +245,14 @@ fn normalized_profile_is_byte_identical_across_runs() {
                 parallelism: threads,
                 ..AnalysisOptions::default()
             };
-            analyze_with_probe(&graph, &SystemModel::shared(), options, &registry).unwrap();
+            analyze_ctl(
+                &graph,
+                &SystemModel::shared(),
+                options,
+                &registry,
+                &CancelToken::none(),
+            )
+            .unwrap();
             let mut snapshot = registry.snapshot();
             snapshot.normalize();
             let mut profile = PhaseProfile::from_snapshot(&snapshot);
